@@ -1,26 +1,18 @@
-"""Per-kernel backend microbenchmarks — numpy vs numba.
+"""Per-kernel microbenchmarks of :mod:`repro.core.kernels`.
 
-Times every kernel behind the :mod:`repro.backend` interface on each
-*available* backend (numpy always; numba when the optional dependency
-is installed), re-asserting the declared parity contract at the
-measured sizes, and records two end-to-end headlines per backend — the
-linear transform and the lag-deduplicated fast exact estimator at
-10^6 sites, the acceptance workload for the compiled backend.
+Times every estimator kernel and records two end-to-end headlines — the
+linear transform and the lag-deduplicated fast exact estimator at 10^6
+sites.
 
 Sizes follow the acceptance ladder: the lag-grid kernels (the fused
-``lag_reduce``, the ``weighted_sum`` reduce, and the ``exp_lag_rho``
-lattice correlation) run at lag grids corresponding to 10^4, 10^6 and
-10^8 sites; the Random-Gate covariance-grid kernel scales with the
-mixture size (its cost is O(q^2) per grid point, independent of the
-chip); the circulant modulation kernel scales with the embedding, its
-largest case capped at a 4000-site side (printed in the table — the
-sampler batches to ~MB chunks anyway, so bigger single calls are not a
-real workload).
+``lag_reduce`` and the ``lattice_rho`` lattice correlation) run at lag
+grids corresponding to 10^4, 10^6 and 10^8 sites; the Random-Gate
+covariance grid scales with the mixture size (its cost is O(q^2) per
+grid point, independent of the chip).
 
 Machine-readable timings land in ``BENCH_kernels.json`` at the repo
-root; with numba available each kernel row gains a ``speedup`` over
-the numpy reference. Set ``BENCH_QUICK=1`` for a CI smoke run over
-reduced sizes (``BENCH_kernels_quick.json``).
+root. Set ``BENCH_QUICK=1`` for a CI smoke run over reduced sizes
+(``BENCH_kernels_quick.json``).
 """
 
 import math
@@ -31,14 +23,10 @@ import numpy as np
 
 from benchmarks._common import emit, emit_json
 from repro.analysis import format_table
-from repro.backend import (
-    KERNELS,
-    available_backends,
-    backend_status,
-    get_backend,
-)
 from repro.core import CellUsage, RandomGate, RGCorrelation, expand_mixture
 from repro.core.estimators import exact_moments, linear_variance
+from repro.core.kernels import lag_reduce, lattice_rho, rg_covariance_grid
+from repro.process.correlation import ExponentialCorrelation
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
@@ -47,8 +35,6 @@ SIDES = (100, 1000) if QUICK else (100, 1000, 10_000)
 #: Mixture sizes for the RG covariance-grid kernel (full 62-cell
 #: libraries expand to a few hundred (cell, state) components).
 MIXTURE_SIZES = (8, 64) if QUICK else (8, 64, 512)
-#: Embedding sides for the modulation kernel (capped; see module doc).
-MODULATE_SIDES = (100, 1000) if QUICK else (100, 1000, 4000)
 #: The end-to-end headline lattice (10^6 sites).
 HEADLINE_SIDE = 100 if QUICK else 1000
 
@@ -63,19 +49,6 @@ def time_once(fn):
     start = time.perf_counter()
     result = fn()
     return time.perf_counter() - start, result
-
-
-def assert_parity(kernel, reference, candidate):
-    """Re-assert the declared contract at the measured size."""
-    rtol = KERNELS[kernel].rtol
-    reference = np.asarray(reference)
-    candidate = np.asarray(candidate)
-    if rtol == 0.0:
-        assert np.array_equal(reference, candidate), (
-            f"{kernel}: bit-compatibility contract violated")
-    else:
-        np.testing.assert_allclose(candidate, reference, rtol=rtol,
-                                   atol=0.0, err_msg=kernel)
 
 
 def rg_inputs(q, rng):
@@ -98,84 +71,42 @@ def lag_inputs(side, rng):
     return lags, counts, (side - 1, side - 1)
 
 
-def test_kernel_backends(characterization):
+def test_kernels(characterization):
     rng = np.random.default_rng(20070611)
-    backends = [get_backend(name) for name in available_backends()]
-    names = [backend.name for backend in backends]
-    assert "numpy" in names, "the reference backend must be available"
-    backends.sort(key=lambda b: b.name != "numpy")  # reference first
-
-    warmups = {b.name: b.warmup() for b in backends}
     rows = []
     records = []
 
-    def measure(kernel, size_label, make_args):
-        reference = None
-        timings = {}
-        for backend in backends:
-            args = make_args(backend)
-            seconds, result = time_once(lambda: args())
-            timings[backend.name] = seconds
-            if backend.name == "numpy":
-                reference = result
-            else:
-                assert_parity(kernel, reference, result)
-            del result
-        record = {"kernel": kernel, "size": size_label}
-        record.update({f"t_{name}_s": timings[name] for name in timings})
-        if "numba" in timings:
-            record["speedup"] = timings["numpy"] / max(timings["numba"],
-                                                       1e-12)
-        records.append(record)
-        row = [kernel, size_label, f"{timings['numpy']:.4f}"]
-        if "numba" in names:
-            row += [f"{timings['numba']:.4f}" if "numba" in timings
-                    else "-",
-                    f"{record['speedup']:.1f}x" if "speedup" in record
-                    else "-"]
-        rows.append(row)
+    def measure(kernel, size_label, fn):
+        seconds, _ = time_once(fn)
+        records.append({"kernel": kernel, "size": size_label,
+                        "t_s": seconds})
+        rows.append([kernel, size_label, f"{seconds:.4f}"])
 
     grid = np.linspace(-1.0, 1.0, N_GRID)
     for q in MIXTURE_SIZES:
         alphas, a, h, k, mean_total = rg_inputs(q, rng)
-        measure(
-            "rg_covariance_grid", f"q={q}",
-            lambda backend: lambda: backend.rg_covariance_grid(
-                alphas, a, h, k, grid, mean_total))
+        measure("rg_covariance_grid", f"q={q}",
+                lambda: rg_covariance_grid(alphas, a, h, k, grid,
+                                           mean_total))
 
+    correlation = ExponentialCorrelation(CORR_LENGTH)
     for side in SIDES:
         lags, counts, zero_lag = lag_inputs(side, rng)
-        kernels0 = backends[0]
-        rho = kernels0.exp_lag_rho(lags, lags, CORR_LENGTH, 0.3, 0.7,
-                                   False)
         values = np.linspace(-0.5, 0.5, N_GRID)
         sites = f"{side * side:.0e} sites"
-        measure(
-            "exp_lag_rho", sites,
-            lambda backend: lambda: backend.exp_lag_rho(
-                lags, lags, CORR_LENGTH, 0.3, 0.7, False))
-        measure(
-            "lag_reduce", sites,
-            lambda backend: lambda: backend.lag_reduce(
-                counts, rho, zero_lag, 2.0, None, grid, values))
-        measure(
-            "weighted_sum", sites,
-            lambda backend: lambda: backend.weighted_sum(counts, rho))
+        seconds, rho = time_once(
+            lambda: lattice_rho(correlation, lags, lags))
+        records.append({"kernel": "lattice_rho", "size": sites,
+                        "t_s": seconds})
+        rows.append(["lattice_rho", sites, f"{seconds:.4f}"])
+        measure("lag_reduce", sites,
+                lambda: lag_reduce(counts, rho, zero_lag, 2.0, None, grid,
+                                   values))
         del rho, counts
 
-    for side in MODULATE_SIDES:
-        p = 2 * side
-        draws = rng.standard_normal((1, 2, p, p))
-        amplitude = rng.uniform(0.0, 1.0, (p, p))
-        measure(
-            "modulate_noise", f"{side * side:.0e} sites (capped)",
-            lambda backend: lambda: backend.modulate_noise(
-                draws, amplitude))
-        del draws, amplitude
-
-    # -- end-to-end headlines: the acceptance workload per backend ------
+    # -- end-to-end headlines at 10^6 sites ------------------------------
     tech = characterization.technology
-    correlation = tech.total_correlation
+    total = tech.total_correlation
     rg = RandomGate(expand_mixture(characterization, USAGE, 0.5))
     rgc = RGCorrelation(rg, tech.length.nominal, tech.length.sigma)
     side = HEADLINE_SIDE
@@ -184,54 +115,26 @@ def test_kernel_backends(characterization):
     positions = np.column_stack([cc.ravel() * PITCH, rr.ravel() * PITCH])
     means = np.full(n, rg.mean)
     stds = np.full(n, rg.mean_of_stds)
-    headlines = {}
-    for backend in backends:
-        t_linear, linear = time_once(lambda: linear_variance(
-            side, side, PITCH, PITCH, correlation, rgc,
-            backend=backend))
-        t_fast, (_, fast_std) = time_once(lambda: exact_moments(
-            positions, means, stds, correlation, method="lagsum",
-            grid=(side, side), backend=backend))
-        headlines[backend.name] = {
-            "t_linear_s": t_linear,
-            "t_fast_exact_s": t_fast,
-            "linear_variance": linear,
-            "fast_exact_std": fast_std,
-        }
-    for label, key in (("linear_variance (e2e)", "t_linear_s"),
-                       ("fast_exact lagsum (e2e)", "t_fast_exact_s")):
-        row = [label, f"{n:.0e} sites",
-               f"{headlines['numpy'][key]:.4f}"]
-        if "numba" in names:
-            if "numba" in headlines:
-                row += [f"{headlines['numba'][key]:.4f}",
-                        f"{headlines['numpy'][key] / max(headlines['numba'][key], 1e-12):.1f}x"]
-            else:
-                row += ["-", "-"]
-        rows.append(row)
-    if "numba" in headlines:
-        # Acceptance: both backends answer within the lag_reduce
-        # contract (the reductions re-associate under prange).
-        np.testing.assert_allclose(
-            headlines["numba"]["fast_exact_std"],
-            headlines["numpy"]["fast_exact_std"], rtol=1e-8)
+    t_linear, linear = time_once(lambda: linear_variance(
+        side, side, PITCH, PITCH, total, rgc))
+    t_fast, (_, fast_std) = time_once(lambda: exact_moments(
+        positions, means, stds, total, method="lagsum",
+        grid=(side, side)))
+    headline = {"t_linear_s": t_linear, "t_fast_exact_s": t_fast,
+                "linear_variance": linear, "fast_exact_std": fast_std}
+    rows.append(["linear_variance (e2e)", f"{n:.0e} sites",
+                 f"{t_linear:.4f}"])
+    rows.append(["fast_exact lagsum (e2e)", f"{n:.0e} sites",
+                 f"{t_fast:.4f}"])
 
-    header = ["kernel", "size", "numpy [s]"]
-    if "numba" in names:
-        header += ["numba [s]", "speedup"]
     table = format_table(
-        header, rows,
-        title=f"Kernel backends ({', '.join(sorted(names))}); "
-              f"headline lattice {HEADLINE_SIDE}x{HEADLINE_SIDE}")
+        ["kernel", "size", "time [s]"], rows,
+        title=f"Estimator kernels; headline lattice "
+              f"{HEADLINE_SIDE}x{HEADLINE_SIDE}")
     emit("kernels", table)
 
     emit_json("kernels_quick" if QUICK else "kernels", {
         "quick": QUICK,
-        "backends": {name: {"warmup_s": warmups[name]}
-                     for name in warmups},
-        "status": backend_status(),
         "kernels": records,
-        "headline": headlines,
-        "contracts": {name: spec.rtol
-                      for name, spec in sorted(KERNELS.items())},
+        "headline": headline,
     })

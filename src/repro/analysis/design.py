@@ -16,7 +16,8 @@ import numpy as np
 from repro.characterization.characterizer import LibraryCharacterization
 from repro.characterization.fitting import LeakageFit
 from repro.circuits.netlist import Netlist
-from repro.core.estimators.exact import exact_moments, pair_params_from_fits
+from repro.core.estimators.exact import exact_moments
+from repro.core.kernels import pair_params_from_fits
 from repro.exceptions import EstimationError
 from repro.process.correlation import SpatialCorrelation
 

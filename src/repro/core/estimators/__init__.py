@@ -15,11 +15,12 @@ Four routes to the variance of total leakage, in decreasing cost:
   (eqs. 24-26).
 """
 
-from repro.core.estimators.exact import exact_moments, pair_params_from_fits
+from repro.core.estimators.exact import exact_moments
 from repro.core.estimators.fast_exact import GridInfo, detect_grid
 from repro.core.estimators.linear import linear_variance
 from repro.core.estimators.integral2d import integral2d_variance
 from repro.core.estimators.polar import polar_variance
+from repro.core.kernels import pair_params_from_fits
 
 __all__ = [
     "GridInfo",

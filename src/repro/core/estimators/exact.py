@@ -25,33 +25,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.characterization.fitting import LeakageFit
-from repro.exceptions import EstimationError, MomentExistenceError
+from repro.exceptions import EstimationError
 from repro.obs import span
 from repro.process.correlation import SpatialCorrelation
-
-
-def pair_params_from_fits(
-    fits: Sequence[LeakageFit], mu_l: float, sigma_l: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-gate ``(a, h, k)`` parameter arrays for exact pair moments.
-
-    For gate ``g`` with fit ``(a_g, b_g, c_g)``:
-    ``a = c*sigma_l^2``, ``h = (b + 2*c*mu_l)*sigma_l``,
-    ``k = ln(a_g) + b*mu_l + c*mu_l^2`` (standardized-variable form).
-    """
-    a = np.array([fit.c for fit in fits]) * sigma_l ** 2
-    if np.any(1.0 - 2.0 * a <= 0):
-        raise MomentExistenceError(
-            "a fit has c*sigma^2 >= 1/2; pairwise moments do not exist")
-    h = np.array([(fit.b + 2.0 * fit.c * mu_l) * sigma_l for fit in fits])
-    k = np.array([math.log(fit.a) + fit.b * mu_l + fit.c * mu_l ** 2
-                  for fit in fits])
-    return a, h, k
 
 
 def _pair_cross_moment(a1, h1, k1, a2, h2, k2, rho):
@@ -76,7 +56,6 @@ def exact_moments(
     n_jobs: int = 1,
     tolerance: float = 0.0,
     grid: Optional[Tuple[int, int]] = None,
-    backend=None,
 ) -> Tuple[float, float]:
     """``(mean, std)`` of a placed design's total leakage — eq. (15).
 
@@ -90,8 +69,9 @@ def exact_moments(
         Total (D2D + WID) channel-length correlation function.
     pair_params:
         Optional per-gate ``(a, h, k)`` arrays from
-        :func:`pair_params_from_fits`; when given, the exact ``f_mn``
-        mapping is used instead of the simplified identity.
+        :func:`~repro.core.kernels.pair_params_from_fits`; when given,
+        the exact ``f_mn`` mapping is used instead of the simplified
+        identity.
     corr_stds:
         Optional per-gate *correlatable* standard deviations used for the
         off-diagonal terms of the simplified model. Needed when a gate's
@@ -124,12 +104,6 @@ def exact_moments(
         Optional ``(rows, cols)`` site-lattice hint (e.g. from
         :class:`~repro.core.chip_model.FullChipModel`) enabling the lag
         transform without auto-detection.
-    backend:
-        Kernel backend (name or instance) for the lag-transform kernels
-        and reductions; resolved through
-        :func:`repro.backend.get_backend`. The dense and pruned block
-        loops are correlation-model generic and stay on numpy
-        regardless.
     """
     positions = np.asarray(positions, dtype=float)
     means = np.asarray(means, dtype=float)
@@ -174,7 +148,7 @@ def exact_moments(
     if method == "lagsum":
         variance = fast_exact.lagsum_variance(
             positions, means, stds, correlation, pair_params, corr_stds,
-            grid_info, tolerance, backend=backend)
+            grid_info, tolerance)
         return _finish(mean_total, variance)
     if method == "pruned":
         variance = fast_exact.pruned_variance(

@@ -24,13 +24,13 @@ Two evaluation modes:
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
+from repro.core.kernels import pair_params_from_fits, rg_covariance_grid
 from repro.core.random_gate import RandomGate
-from repro.exceptions import EstimationError, MomentExistenceError
+from repro.exceptions import EstimationError
 
 
 class RGCorrelation:
@@ -47,16 +47,10 @@ class RGCorrelation:
         exact when fits are available, simplified otherwise.
     n_grid:
         Grid resolution for the precomputed exact mapping on [-1, 1].
-    backend:
-        Kernel backend (name or instance) used to build the exact grid;
-        resolved through :func:`repro.backend.get_backend`. The backend
-        is only used during construction — the built object holds no
-        reference to it, so instances stay picklable.
     """
 
     def __init__(self, random_gate: RandomGate, mu_l: float, sigma_l: float,
-                 simplified: Optional[bool] = None, n_grid: int = 65,
-                 backend=None) -> None:
+                 simplified: Optional[bool] = None, n_grid: int = 65) -> None:
         mixture = random_gate.mixture
         if simplified is None:
             simplified = not mixture.has_fits
@@ -75,7 +69,7 @@ class RGCorrelation:
         else:
             self._grid = np.linspace(-1.0, 1.0, n_grid)
             self._values = self._exact_covariance_grid(
-                mixture, mu_l, sigma_l, self._grid, backend=backend)
+                mixture, mu_l, sigma_l, self._grid)
             self._scale = None
 
     @classmethod
@@ -86,7 +80,7 @@ class RGCorrelation:
         ``grid``/``values`` must be the exact mapping for this random
         gate's mixture (e.g. produced by a cached
         :class:`repro.delta.moments.CrossMomentTable` contraction,
-        which is bit-identical to a fresh backend build). Skips the
+        which is bit-identical to a fresh build). Skips the
         O(grid x q^2) moment pass entirely.
         """
         instance = cls.__new__(cls)
@@ -100,29 +94,19 @@ class RGCorrelation:
 
     @staticmethod
     def _exact_covariance_grid(mixture, mu_l: float, sigma_l: float,
-                               grid: np.ndarray, backend=None) -> np.ndarray:
-        from repro.backend import get_backend
-
-        alphas = mixture.alphas
-        a = np.array([fit.c for fit in mixture.fits]) * sigma_l ** 2
-        if np.any(1.0 - 2.0 * a <= 0):
-            raise MomentExistenceError(
-                "a mixture component has c*sigma^2 >= 1/2; its pairwise "
-                "moments do not exist")
-        h = np.array([(fit.b + 2.0 * fit.c * mu_l) * sigma_l
-                      for fit in mixture.fits])
-        k = np.array([math.log(fit.a) + fit.b * mu_l + fit.c * mu_l ** 2
-                      for fit in mixture.fits])
-        mean_total = float(alphas @ mixture.means)
-        return get_backend(backend).rg_covariance_grid(
-            alphas, a, h, k, grid, mean_total)
+                               grid: np.ndarray) -> np.ndarray:
+        a, h, k = pair_params_from_fits(mixture.fits, mu_l, sigma_l)
+        mean_total = float(mixture.alphas @ mixture.means)
+        return rg_covariance_grid(mixture.alphas, a, h, k, grid,
+                                  mean_total)
 
     @property
     def covariance_scale(self) -> Optional[float]:
         """Simplified-mode slope ``(sum_i alpha_i sigma_i)^2``, or
         ``None`` in exact mode. With :attr:`covariance_grid` /
         :attr:`covariance_values` this exposes the covariance mapping in
-        the exact representation kernel backends consume."""
+        the exact representation :func:`repro.core.kernels.lag_reduce`
+        consumes."""
         return self._scale
 
     @property

@@ -44,7 +44,8 @@ from repro.core.api import (
 )
 from repro.core.chip_model import FullChipModel
 from repro.core.estimators.linear import LagGeometry
-from repro.delta.moments import component_params, quadratic_products
+from repro.core.kernels import pair_params_from_fits
+from repro.delta.moments import quadratic_products
 from repro.exceptions import DeltaIncompatibleError, EstimationError
 from repro.obs import span
 
@@ -117,7 +118,6 @@ class BaseEstimate:
     s_rho: Optional[float] = None
     characterization: Any = None
     correlation: Any = None
-    backend_name: str = "numpy"
     extra: Dict[str, Any] = field(default_factory=dict)
 
     # -- derived scalars ---------------------------------------------------
@@ -148,8 +148,7 @@ class BaseEstimate:
     def build(cls, characterization, usage, n_cells: int, width: float,
               height: float, *, signal_probability: float = 0.5,
               correlation=None, simplified_correlation: Optional[bool] = None,
-              state_weights=None, backend=None,
-              components=None) -> "BaseEstimate":
+              state_weights=None, components=None) -> "BaseEstimate":
         """Run a fresh estimate and snapshot it as a base artifact.
 
         ``components`` optionally supplies a prebuilt
@@ -161,8 +160,7 @@ class BaseEstimate:
             signal_probability=signal_probability,
             correlation=correlation,
             simplified_correlation=simplified_correlation,
-            state_weights=state_weights, backend=backend,
-            components=components)
+            state_weights=state_weights, components=components)
         return cls.from_estimator(estimator, state_weights=state_weights)
 
     @classmethod
@@ -171,15 +169,12 @@ class BaseEstimate:
                        state_weights=None) -> "BaseEstimate":
         """Snapshot an estimator (running ``estimate("linear")`` if no
         fresh estimate is supplied)."""
-        from repro.backend import get_backend
-
         chip = estimator.chip
         if resolve_auto_method(chip.n_sites) != "linear":
             raise DeltaIncompatibleError(
                 f"delta estimation rides the eq. (17) lag transform, "
                 f"which auto-mode reserves for grids up to 250,000 "
                 f"sites; this chip has {chip.n_sites}")
-        kernels = get_backend(estimator.backend)
         with span("delta.base_estimate"):
             if estimate is None:
                 estimate = estimator.estimate("linear")
@@ -209,13 +204,13 @@ class BaseEstimate:
                     "mixture component")
             grid = np.array(estimator.rg_correlation.covariance_grid)
             with span("delta.base_moments", q=alphas.shape[0]):
-                a, h, k = component_params(fits, mu_l, sigma_l)
+                a, h, k = pair_params_from_fits(fits, mu_l, sigma_l)
                 vq, u, _, _ = quadratic_products(a, h, k, grid, alphas)
 
         with span("delta.base_geometry"):
             geometry = LagGeometry(chip.rows, chip.cols, chip.pitch_x,
                                    chip.pitch_y)
-            rho = geometry.rho(estimator.correlation, kernels)
+            rho = geometry.rho(estimator.correlation)
             if simplified:
                 w, s_rho = None, _rho_sum(rho, geometry.counts,
                                           geometry.zero_lag)
@@ -234,7 +229,7 @@ class BaseEstimate:
             fits=fits, cell_index=cell_index, cell_probs=cell_probs,
             rho=rho, grid=grid, a=a, h=h, k=k, vq=vq, u=u, w=w,
             s_rho=s_rho, characterization=estimator.characterization,
-            correlation=estimator.correlation, backend_name=kernels.name)
+            correlation=estimator.correlation)
 
     # -- export / import ---------------------------------------------------
 
@@ -272,7 +267,6 @@ class BaseEstimate:
             "u": listify(self.u),
             "w": listify(self.w),
             "s_rho": self.s_rho,
-            "backend": self.backend_name,
         }
 
     @classmethod
@@ -339,7 +333,6 @@ class BaseEstimate:
                        else float(document["s_rho"])),
                 characterization=characterization,
                 correlation=correlation,
-                backend_name=str(document.get("backend", "numpy")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise EstimationError(
@@ -353,8 +346,8 @@ class BaseEstimate:
             raise DeltaIncompatibleError(
                 "imported base lacks component fits; cannot extend the "
                 "exact cross-moment state")
-        self.a, self.h, self.k = component_params(self.fits, self.mu_l,
-                                                  self.sigma_l)
+        self.a, self.h, self.k = pair_params_from_fits(
+            self.fits, self.mu_l, self.sigma_l)
 
 
 def _expand_unpruned(characterization, usage, p: float, state_weights):

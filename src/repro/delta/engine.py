@@ -46,6 +46,7 @@ import numpy as np
 from repro.core.api import LeakageEstimate, _json_scalar, resolve_auto_method
 from repro.core.chip_model import FullChipModel
 from repro.core.estimators.linear import LagGeometry
+from repro.core.kernels import pair_params_from_fits
 from repro.delta.base import (
     BaseEstimate,
     _interp_weights,
@@ -59,7 +60,7 @@ from repro.delta.edits import (
     UsageHistogramEdit,
     edit_from_dict,
 )
-from repro.delta.moments import component_params, cross_block
+from repro.delta.moments import cross_block
 from repro.exceptions import (
     ConfigurationError,
     DeltaError,
@@ -136,8 +137,8 @@ def _extend_components(base: BaseEstimate, new_cells: Sequence[str]):
                 raise DeltaIncompatibleError(
                     f"cell {cell_name!r} has no (a, b, c) fits; cannot "
                     "extend the exact cross-moment state")
-            a_new, h_new, k_new = component_params(fits, base.mu_l,
-                                                   base.sigma_l)
+            a_new, h_new, k_new = pair_params_from_fits(fits, base.mu_l,
+                                                        base.sigma_l)
             a = np.concatenate([a, a_new])
             h = np.concatenate([h, h_new])
             k = np.concatenate([k, k_new])
@@ -157,8 +158,6 @@ def _geometry_ledger(base: BaseEstimate, chip: FullChipModel,
     pure function of lag coordinates); otherwise re-evaluates the
     kernel, which needs the base's live correlation reference.
     """
-    from repro.backend import get_backend
-
     geometry = LagGeometry(chip.rows, chip.cols, chip.pitch_x, chip.pitch_y)
     base_chip = base.chip
     same_pitch = (chip.pitch_x == base_chip.pitch_x
@@ -182,7 +181,7 @@ def _geometry_ledger(base: BaseEstimate, chip: FullChipModel,
                 "floorplan edit changes the site pitch and the base has "
                 "no correlation model attached to re-evaluate the "
                 "kernel")
-        rho = geometry.rho(base.correlation, get_backend(base.backend_name))
+        rho = geometry.rho(base.correlation)
         ledger["lags_reused"] = 0
         ledger["lags_recomputed"] = int(rho.size)
     if base.simplified:

@@ -567,7 +567,7 @@ class _WorkerSlot:
     """Parent-side state for one supervised worker process."""
 
     __slots__ = ("index", "process", "conn", "heartbeat", "generation",
-                 "consecutive_crashes", "pid")
+                 "consecutive_crashes", "pid", "ready", "settled")
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -577,6 +577,11 @@ class _WorkerSlot:
         self.generation = 0
         self.consecutive_crashes = 0
         self.pid: Optional[int] = None
+        #: Whether a worker ever completed its READY handshake.
+        self.ready = False
+        #: Set on the first READY handshake or when the shepherd exits,
+        #: whichever comes first (the construction barrier waits on it).
+        self.settled = threading.Event()
 
 
 class ProcessWorkerPool:
@@ -605,6 +610,12 @@ class ProcessWorkerPool:
     Traced tasks (``trace=True``) run under a private tracer in the
     worker and ship their finished span forest home on the future,
     exactly like :func:`parallel_map` workers do.
+
+    Construction is a barrier: the pool returns only once every slot's
+    first worker has completed its READY handshake, so introspection
+    (:meth:`liveness`) sees real pids from the start. A slot that
+    cannot get a worker ready within ``init_timeout`` seconds stops the
+    pool and raises :class:`~repro.exceptions.WorkerCrashedError`.
     """
 
     def __init__(self, work_fn: Callable[[Any, Any], Any],
@@ -652,6 +663,15 @@ class ProcessWorkerPool:
                 name=f"{name}-shepherd-{slot.index}", daemon=True)
             self._threads.append(thread)
             thread.start()
+        ready_by = time.monotonic() + self._init_timeout
+        for slot in self._slots:
+            slot.settled.wait(max(0.0, ready_by - time.monotonic()))
+            if not slot.ready:
+                self.stop()
+                reasons = "; ".join(self.failures) or "no handshake"
+                raise WorkerCrashedError(
+                    f"{name}: worker {slot.index} not ready within "
+                    f"{self._init_timeout:g} s ({reasons})")
 
     # -- submission --------------------------------------------------------
 
@@ -711,6 +731,7 @@ class ProcessWorkerPool:
                     continue  # cancelled while queued
                 self._run_task(slot, task)
         finally:
+            slot.settled.set()
             self._shutdown_slot(slot)
             self._retire_shepherd()
 
@@ -901,6 +922,8 @@ class ProcessWorkerPool:
                 if parent_conn.poll(self._heartbeat_interval):
                     message = parent_conn.recv()
                     if message[0] == _MSG_READY:
+                        slot.ready = True
+                        slot.settled.set()
                         return True
                     self._kill_worker(slot)
                     self._note_death(

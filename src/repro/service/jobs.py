@@ -200,15 +200,11 @@ class EstimateRequest:
         and on the job snapshot (``GET /v1/jobs/<id>``); cached entries
         never store traces.
     backend:
-        Kernel backend for the estimator hot paths (``None`` defers to
-        the server's default — ``REPRO_BACKEND`` env var, else numpy).
-        Excluded from the content hash: every backend satisfies the
-        parity contracts of :data:`repro.backend.KERNELS` against the
-        numpy reference, results are backend-agnostic by design, and the
-        cache/coalescing layers must treat them as interchangeable (a
-        numba-computed entry may serve a numpy request and vice versa).
-        Must name a *registered* backend; an unavailable-but-registered
-        one falls back to numpy at run time with a log line.
+        Legacy wire field, kept so older clients stay compatible: only
+        ``None`` or ``"numpy"`` (the one kernel implementation) is
+        accepted, and it never changes the result, so it is excluded
+        from the content hash. Any other value is a
+        :class:`~repro.exceptions.ConfigurationError`.
     """
 
     n_cells: int
@@ -314,15 +310,10 @@ class EstimateRequest:
         object.__setattr__(self, "priority", int(self.priority))
         object.__setattr__(self, "allow_degraded", bool(self.allow_degraded))
         object.__setattr__(self, "trace", bool(self.trace))
-        if self.backend is not None:
-            from repro.backend import registered_backends
-
-            backend = str(self.backend)
-            if backend not in registered_backends():
-                raise ConfigurationError(
-                    f"unknown backend {backend!r}; registered: "
-                    f"{', '.join(registered_backends())}")
-            object.__setattr__(self, "backend", backend)
+        if self.backend not in (None, "numpy"):
+            raise ConfigurationError(
+                f"unknown backend {self.backend!r}; only 'numpy' is "
+                "accepted")
 
     # -- canonicalization / content addressing ---------------------------
 

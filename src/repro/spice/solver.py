@@ -119,8 +119,10 @@ def solve_dc(
     index = {node: i for i, node in enumerate(free_nodes)}
     n_free = len(free_nodes)
 
-    high_nodes = {node for node, volt in pinned.items()
-                  if volt == tech.vdd and node != GND}
+    # Netlist order, not a set: the supply current sums over these
+    # nodes, and a hash-ordered sum would vary with PYTHONHASHSEED.
+    high_nodes = tuple(node for node, volt in pinned.items()
+                       if volt == tech.vdd and node != GND)
 
     def node_voltage(node: str, x: np.ndarray) -> np.ndarray:
         if node in pinned:

@@ -199,6 +199,15 @@ class TestRoundTrip:
         assert math.isclose(roundtrip.mean, original.mean, rel_tol=1e-12)
         assert math.isclose(roundtrip.std, original.std, rel_tol=1e-9)
 
+    def test_legacy_backend_key_is_accepted_and_no_longer_written(
+            self, base, small_characterization):
+        document = base.to_dict()
+        assert "backend" not in document
+        legacy = dict(document, backend="numpy")
+        restored = BaseEstimate.from_dict(
+            legacy, characterization=small_characterization)
+        assert restored.to_dict() == document
+
 
 class TestGoldenECO:
     def test_cell_swap_eco_golden(self, base, update_goldens):

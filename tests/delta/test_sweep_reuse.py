@@ -4,7 +4,7 @@
 usage-only points reusing the cached
 :class:`repro.delta.moments.CrossMomentTable` stay **bit-identical**
 to a fresh per-point ``RGComponents.build`` — the contraction
-replicates the numpy backend's terminal operations verbatim. These
+is the same kernel a fresh build runs. These
 tests pin that promise: a usage-axis sweep must (a) actually take the
 reuse path after the first point, and (b) produce means/stds equal —
 ``==``, not approx — to one-shot estimator runs of the same points.

@@ -22,6 +22,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.service.jobs import EstimateRequest, TechnologyConfig
 from repro.service.sweep import SweepAxisSpec, SweepRequest
 from repro.service.whatif import WhatIfRequest
@@ -106,8 +107,14 @@ class TestIrrelevantFields:
     def test_priority_trace_backend_excluded(self):
         plain = _estimate_request()
         tweaked = _estimate_request(priority=7, trace=True,
-                                    backend="numba")
+                                    backend="numpy")
         assert tweaked.key() == plain.key()
+
+    def test_legacy_backend_values(self):
+        assert _estimate_request(backend=None).key() == \
+            _estimate_request(backend="numpy").key()
+        with pytest.raises(ConfigurationError, match="backend"):
+            _estimate_request(backend="numba")
 
     def test_whatif_priority_excluded(self):
         assert _whatif_request().key() == \

@@ -61,6 +61,10 @@ class TestEndpoints:
         assert status == 200
         assert json.loads(body)["status"] == "ok"
 
+    def test_healthz_no_longer_reports_a_kernel_backend(self, server):
+        _, body = get(server, "/v1/healthz")
+        assert "backend" not in json.loads(body)
+
     def test_sync_estimate_round_trip(self, server):
         status, document = post(server, "/v1/estimate", ESTIMATE_BODY)
         assert status == 200
@@ -268,6 +272,20 @@ class TestValidation:
         document = json.loads(excinfo.value.read())
         assert document["kind"] == "bad_request"
         assert "surprise_field" in document["error"]
+
+    def test_legacy_backend_field(self, server):
+        """``backend`` stays on the wire for one release: ``"numpy"``
+        is accepted, anything else is a typed 400."""
+        status, document = post(server, "/v1/estimate",
+                                dict(ESTIMATE_BODY, backend="numpy"))
+        assert status == 200
+        assert document["state"] == "done"
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post(server, "/v1/estimate", dict(ESTIMATE_BODY, backend="numba"))
+        assert excinfo.value.code == 400
+        document = json.loads(excinfo.value.read())
+        assert document["kind"] == "bad_request"
+        assert "backend" in document["error"]
 
     def test_oversized_body_is_400(self, server):
         padded = dict(ESTIMATE_BODY, usage={

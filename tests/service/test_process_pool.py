@@ -22,6 +22,10 @@ def _init():
     return {"init_pid": os.getpid()}
 
 
+def _failing_init():
+    raise RuntimeError("cannot build worker state")
+
+
 def _work(state, payload):
     action = payload["action"]
     if action == "echo":
@@ -229,3 +233,20 @@ def test_queued_tasks_are_cancelled_on_stop():
         queued.result(10.0)
     with pytest.raises(WorkerCrashedError):
         blocker.result(10.0)
+
+
+def test_construction_waits_for_every_ready_handshake():
+    pool = _pool(n_workers=2)
+    try:
+        entries = pool.liveness()
+        assert [entry["pid"] is not None for entry in entries] == [True] * 2
+        assert all(entry["alive"] for entry in entries)
+    finally:
+        pool.stop()
+
+
+def test_worker_that_never_gets_ready_fails_construction():
+    start = time.monotonic()
+    with pytest.raises(WorkerCrashedError, match="not ready"):
+        _pool(init_fn=_failing_init, max_restarts=1)
+    assert time.monotonic() - start < 30.0

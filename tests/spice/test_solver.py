@@ -129,3 +129,39 @@ class TestAllLibraryStatesSolve:
                 value = float(leak[0])
                 assert np.isfinite(value), (cell.name, state.label)
                 assert value > 0, (cell.name, state.label)
+
+
+_CHARACTERIZE_DFF = """
+from repro.cells.library import build_library
+from repro.characterization.characterizer import characterize_library
+from repro.process.technology import synthetic_90nm
+
+tech = synthetic_90nm().at_temperature(358.0)
+table = characterize_library(build_library(), tech, cells=["DFF_X2"])
+for st in table.state_table():
+    print(st.state_label, st.mean.hex(), st.std.hex(),
+          *(value.hex() for value in (st.fit.a, st.fit.b, st.fit.c)))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_characterization_bitwise_equal_across_hash_seeds(self):
+        """The supply-current sum must not follow set iteration order:
+        DFF_X2 at 358 K drifted in the last bits between hash seeds."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for seed in ("0", "1"):
+            result = subprocess.run(
+                [sys.executable, "-c", _CHARACTERIZE_DFF],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": seed})
+            outputs.append(result.stdout)
+        assert outputs[0]
+        assert outputs[0] == outputs[1]
