@@ -294,8 +294,6 @@ def _cmd_serve(args) -> int:
     from repro.service.faults import FaultInjector, injector_from_env
     from repro.service.http import create_server
 
-    if args.replicas > 1:
-        return _serve_fleet(args)
     if args.faults:
         faults = FaultInjector(args.faults, seed=args.faults_seed)
     else:
@@ -307,8 +305,7 @@ def _cmd_serve(args) -> int:
         cache_entries=args.cache_entries,
         default_timeout=args.timeout,
         faults=faults,
-        worker_mode=args.worker_mode,
-        cache_shards=args.cache_shards)
+        worker_mode=args.worker_mode)
     server = create_server(client, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(f"repro estimation service listening on http://{host}:{port} "
@@ -348,72 +345,6 @@ def _cmd_serve(args) -> int:
         server.server_close()
     finally:
         client.close()
-    return 0
-
-
-def _serve_fleet(args) -> int:
-    """``repro serve --replicas N``: a supervised fleet behind one front."""
-    import signal
-    import threading
-
-    from repro.service.faults import FaultInjector
-    from repro.service.fleet import create_front
-
-    faults = None
-    if args.faults:
-        # replica.kill draws at the front; every other site replays
-        # inside the replicas with slot-salted seeds.
-        faults = FaultInjector(args.faults, seed=args.faults_seed)
-    options = {
-        "host": args.host,
-        "workers": args.workers,
-        "queue_limit": args.queue_limit,
-        "cache_dir": args.cache_dir,
-        "cache_entries": args.cache_entries,
-        "cache_shards": args.cache_shards,
-        "default_timeout": args.timeout,
-        "worker_mode": args.worker_mode,
-        "drain_grace": args.drain_grace,
-        "faults_spec": args.faults,
-        "faults_seed": args.faults_seed,
-    }
-    fleet, front = create_front(args.replicas, host=args.host,
-                                port=args.port, options=options,
-                                faults=faults)
-    host, port = front.server_address[:2]
-    print(f"repro estimation fleet listening on http://{host}:{port} "
-          f"({args.replicas} replicas x {args.workers} "
-          f"{args.worker_mode} workers, cache "
-          f"{'at ' + args.cache_dir if args.cache_dir else 'in memory'})")
-    for entry in fleet.liveness():
-        print(f"  replica {entry['replica']}: pid {entry['pid']} "
-              f"port {entry['port']}")
-    if faults is not None:
-        print(f"fault injection ACTIVE: {faults!r}")
-
-    drain_started = threading.Event()
-
-    def _graceful(signum, frame):
-        if drain_started.is_set():
-            return
-        drain_started.set()
-        print("\ndraining fleet (finishing in-flight requests)...")
-        threading.Thread(target=front.drain,
-                         kwargs={"grace": args.drain_grace},
-                         name="repro-fleet-drain", daemon=True).start()
-
-    try:
-        signal.signal(signal.SIGTERM, _graceful)
-    except ValueError:  # not the main thread (embedded use)
-        pass
-    try:
-        front.serve_forever()
-        print("fleet drained; shutting down")
-    except KeyboardInterrupt:
-        print("\nshutting down fleet")
-        front.shutdown()
-        front.server_close()
-        fleet.stop(grace=args.drain_grace)
     return 0
 
 
@@ -804,18 +735,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-tier in-memory LRU entry bound")
     serve.add_argument("--timeout", type=float, default=None,
                        help="default per-job deadline [s]")
-    serve.add_argument("--replicas", type=int, default=1,
-                       help="run this many full service replicas behind "
-                            "a consistent-hash routing front (1 = the "
-                            "single in-process server)")
     serve.add_argument("--worker-mode", choices=("thread", "process"),
                        default="thread",
                        help="compute in scheduler threads or in "
                             "supervised OS-process workers "
                             "(crash-only serving)")
-    serve.add_argument("--cache-shards", type=int, default=8,
-                       help="shard count for the cross-process-safe "
-                            "cache layout (process mode and fleets)")
     serve.add_argument("--drain-grace", type=float, default=10.0,
                        help="seconds to let in-flight requests finish "
                             "on SIGTERM before stopping (default 10)")

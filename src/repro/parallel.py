@@ -602,7 +602,7 @@ class ProcessWorkerPool:
     - a content key that crashes workers ``poison_threshold`` times is
       quarantined — further submissions fail fast with
       :class:`~repro.exceptions.PoisonJobError` instead of crash-looping
-      the fleet;
+      the pool;
     - a task that overruns its per-task ``timeout`` gets its worker
       killed and fails with ``timeout_error`` (no requeue — deadlines
       are final).
@@ -971,9 +971,12 @@ class ProcessWorkerPool:
         return len(self._slots)
 
     @property
-    def alive_count(self) -> int:
-        return sum(1 for slot in self._slots
-                   if slot.process is not None and slot.process.is_alive())
+    def live_slots(self) -> int:
+        """Slots whose shepherd has not retired; 0 once the pool stops."""
+        if self._stop.is_set():
+            return 0
+        with self._lock:
+            return self._live_shepherds
 
     @property
     def failures(self) -> List[str]:

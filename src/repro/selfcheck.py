@@ -165,16 +165,16 @@ def _checks() -> List[Tuple[str, Callable[[], bool]]]:
                 and stats["entries"] == 1 and stats["bytes"] > 0
                 and stats["hits"] == 1 and stats["misses"] == 1)
 
-    def check_sharded_cache() -> bool:
+    def check_shared_cache_dir() -> bool:
         import tempfile
         import threading
 
-        from repro.service.cache import TIER_ESTIMATE, ShardedResultCache
+        from repro.service.cache import TIER_ESTIMATE, ResultCache
 
         with tempfile.TemporaryDirectory() as root:
             # Two cache instances over one directory stand in for two
             # processes: flock serializes their per-shard writes.
-            writers = [ShardedResultCache(max_entries=128, persist_dir=root)
+            writers = [ResultCache(max_entries=128, persist_dir=root)
                        for _ in range(2)]
             errors: List[Exception] = []
 
@@ -195,7 +195,7 @@ def _checks() -> List[Tuple[str, Callable[[], bool]]]:
             for thread in threads:
                 thread.join()
             # A restarted reader trusts only what rebuild() verified.
-            reader = ShardedResultCache(max_entries=128, persist_dir=root)
+            reader = ResultCache(max_entries=128, persist_dir=root)
             report = reader.rebuild()
             good = (not errors and report["valid"] == 96
                     and report["quarantined"] == 0)
@@ -235,8 +235,8 @@ def _checks() -> List[Tuple[str, Callable[[], bool]]]:
          check_delta_engine),
         ("result cache accounts entries, bytes, and hit/miss traffic",
          check_result_cache),
-        ("sharded cache round-trips under concurrent writers",
-         check_sharded_cache),
+        ("shared cache directory round-trips under concurrent writers",
+         check_shared_cache_dir),
         ("process supervisor restarts a killed worker and requeues",
          check_process_supervisor),
     ]

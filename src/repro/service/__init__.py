@@ -19,7 +19,6 @@ catalog.
 
 from repro.service.cache import (
     ResultCache,
-    ShardedResultCache,
     TIER_CHARACTERIZATION,
     TIER_ESTIMATE,
     TIER_RG,
@@ -40,12 +39,6 @@ from repro.service.faults import (
     InjectedFault,
     injector_from_env,
     parse_spec,
-)
-from repro.service.fleet import (
-    FrontServer,
-    HashRing,
-    ReplicaFleet,
-    create_front,
 )
 from repro.service.http import LeakageHTTPServer, create_server, serve
 from repro.service.jobs import (
@@ -81,11 +74,8 @@ __all__ = [
     "EstimationScheduler",
     "FaultInjector",
     "FaultRule",
-    "FrontServer",
-    "HashRing",
     "InjectedFault",
     "Job",
-    "ReplicaFleet",
     "JobCancelledError",
     "JobFailedError",
     "JobState",
@@ -99,7 +89,6 @@ __all__ = [
     "RemoteClient",
     "ResultCache",
     "RetryPolicy",
-    "ShardedResultCache",
     "SWEEP_AXES",
     "ServiceClient",
     "SweepAxisSpec",
@@ -111,7 +100,6 @@ __all__ = [
     "TIER_RG",
     "WhatIfRequest",
     "cache_stamp",
-    "create_front",
     "create_server",
     "injector_from_env",
     "parse_spec",

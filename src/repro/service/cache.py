@@ -18,12 +18,17 @@ content hash of exactly the request subset it depends on (see
 Each tier is an in-memory LRU with a size bound. Tiers whose values
 serialize to JSON (``characterization`` via the store module's
 document, ``estimate`` via ``LeakageEstimate.to_dict``) additionally
-persist to disk when a directory is configured: one file per entry,
-written atomically (unique temp file + ``os.replace``) so concurrent
-writers can never tear an entry, and stamped with the cache schema
-version plus the git revision so entries from another code revision
-are silently invalidated. The ``rg`` tier holds live model objects and
-stays memory-only.
+persist to disk when a directory is configured. The disk layer is split
+into :data:`N_SHARDS` shard directories (``shard-00/``, ``shard-01/``,
+...; a key's shard is :func:`shard_of`), each guarded by an ``flock``
+lock file under ``locks/`` — shared for reads, exclusive for writes —
+so every process serving one cache directory (a server's worker
+processes, or two servers) can share it without coordination. One file
+per entry, written atomically (unique temp file + ``os.replace``) so
+concurrent writers can never tear an entry, and stamped with the cache
+schema version plus the git revision so entries from another code
+revision are silently invalidated. The ``rg`` tier holds live model
+objects and stays memory-only.
 
 Integrity: every disk entry carries a SHA-256 checksum of its canonical
 payload JSON. An entry that fails to parse, fails its checksum, or is
@@ -31,7 +36,8 @@ structurally wrong is **quarantined** — moved to
 ``<persist_dir>/quarantine/`` for post-mortem rather than deleted —
 counted in ``repro_cache_corruptions_total{tier=...}``, and reported as
 a miss so the pipeline transparently recomputes. A bad byte on disk can
-therefore delay an answer but never change one.
+therefore delay an answer but never change one. :meth:`ResultCache.rebuild`
+applies the same checks to the whole directory when a server starts.
 """
 
 from __future__ import annotations
@@ -71,6 +77,10 @@ TIERS = (TIER_CHARACTERIZATION, TIER_RG, TIER_ESTIMATE)
 
 #: Subdirectory of ``persist_dir`` where corrupt entries are moved.
 QUARANTINE_DIR = "quarantine"
+
+#: Disk-layer shard count. A module constant, so a server and its
+#: worker processes can never disagree on the layout.
+N_SHARDS = 8
 
 #: Sentinel distinguishing "no entry" from a cached ``None``.
 MISS = object()
@@ -113,6 +123,12 @@ def payload_checksum(payload: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def shard_of(key: str) -> int:
+    """Disk shard of a cache key: its SHA-256 prefix mod :data:`N_SHARDS`."""
+    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+    return int(digest[:8], 16) % N_SHARDS
+
+
 class TierStats:
     """Hit/miss accounting for one tier (thread-safe via the cache lock)."""
 
@@ -153,7 +169,7 @@ def _entry_nbytes(value: Any, payload: Any = None) -> int:
 
 
 class ResultCache:
-    """Tiered LRU cache with checksummed JSON-on-disk persistence.
+    """Tiered LRU cache with checksummed, sharded JSON-on-disk persistence.
 
     Parameters
     ----------
@@ -161,33 +177,47 @@ class ResultCache:
         Per-tier in-memory entry bound (least recently used evicted).
     persist_dir:
         Directory for the disk layer; ``None`` disables persistence.
-        Entries land at ``<persist_dir>/<tier>/<key>.json``; corrupt
-        ones are moved to ``<persist_dir>/quarantine/``.
+        Entries land at ``<persist_dir>/shard-NN/<tier>/<key>.json``;
+        corrupt ones are moved to ``<persist_dir>/quarantine/``.
     metrics:
         Optional :class:`~repro.service.metrics.MetricsRegistry`; when
         given, lookups increment
-        ``repro_cache_requests_total{tier=...,result=hit|disk_hit|miss}``
-        and quarantines ``repro_cache_corruptions_total{tier=...}``.
+        ``repro_cache_requests_total{tier=...,result=hit|disk_hit|miss}``,
+        quarantines ``repro_cache_corruptions_total{tier=...}``, and
+        shard-lock timeouts ``repro_cache_lock_timeouts_total{tier=...}``.
     stamp:
         Version stamp override (defaults to :func:`cache_stamp`);
         entries whose stamp differs are treated as absent.
     faults:
         Optional :class:`~repro.service.faults.FaultInjector`; the
         ``cache.read`` / ``cache.write`` sites corrupt entry bytes on
-        the way in/out of disk (memory tiers are never touched).
+        the way in/out of disk (memory tiers are never touched), and
+        ``shard.lock_timeout`` simulates a lock timeout.
+    lock_timeout:
+        Seconds to wait for a shard lock. A timeout is a miss, never a
+        stall: reads report a miss and writes update memory only.
+    shard_corruption_threshold:
+        A shard that accumulates this many corrupt entries is presumed
+        damaged (torn filesystem, bad disk) and moved wholesale to the
+        quarantine directory; a fresh empty shard takes its place.
     """
 
     def __init__(self, max_entries: int = 256,
                  persist_dir: Optional[str] = None,
                  metrics=None,
                  stamp: Optional[str] = None,
-                 faults: Optional[FaultInjector] = None) -> None:
+                 faults: Optional[FaultInjector] = None,
+                 lock_timeout: float = 2.0,
+                 shard_corruption_threshold: int = 4) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries!r}")
         self.max_entries = int(max_entries)
         self.persist_dir = persist_dir
         self.stamp = cache_stamp() if stamp is None else str(stamp)
+        self.lock_timeout = float(lock_timeout)
         self._faults = faults
+        self._shard_corruption_threshold = int(shard_corruption_threshold)
+        self._shard_corruptions: Dict[int, int] = {}
         self._lock = threading.Lock()
         self._tiers: Dict[str, OrderedDict] = {
             tier: OrderedDict() for tier in TIERS}
@@ -197,6 +227,7 @@ class ResultCache:
             tier: {} for tier in TIERS}
         self._requests = None
         self._corruptions = None
+        self._lock_timeouts = None
         if metrics is not None:
             self._requests = metrics.counter(
                 "repro_cache_requests_total",
@@ -205,6 +236,11 @@ class ResultCache:
             self._corruptions = metrics.counter(
                 "repro_cache_corruptions_total",
                 "Disk entries quarantined for failing integrity checks.",
+                labelnames=("tier",))
+            self._lock_timeouts = metrics.counter(
+                "repro_cache_lock_timeouts_total",
+                "Shard lock acquisitions that timed out (degraded to "
+                "miss/skip).",
                 labelnames=("tier",))
 
     def _check_tier(self, tier: str) -> None:
@@ -215,16 +251,98 @@ class ResultCache:
         if self._requests is not None:
             self._requests.inc(tier=tier, result=result)
 
-    # -- disk layer -------------------------------------------------------
+    # -- disk layout -------------------------------------------------------
 
-    def _path(self, tier: str, key: str) -> Optional[str]:
-        if self.persist_dir is None:
-            return None
-        return os.path.join(self.persist_dir, tier, f"{key}.json")
+    def _shard_dir(self, shard: int) -> str:
+        return os.path.join(self.persist_dir, f"shard-{shard:02d}")
 
-    def _quarantine(self, tier: str, key: str, path: str,
-                    cause: str) -> None:
-        """Move a corrupt entry aside (post-mortem) and count it."""
+    def _path(self, tier: str, key: str) -> str:
+        return os.path.join(self._shard_dir(shard_of(key)), tier,
+                            f"{key}.json")
+
+    def _lock_path(self, shard: int) -> str:
+        # Lock files live OUTSIDE the shard directory: shard quarantine
+        # os.replace()s the whole shard dir, and a lock moved with it
+        # would fork the lock identity — holders of the old inode and
+        # of the fresh file would both believe they hold "the" shard
+        # lock and write concurrently.
+        return os.path.join(self.persist_dir, "locks",
+                            f"shard-{shard:02d}.lock")
+
+    @contextlib.contextmanager
+    def _shard_lock(self, shard: int, exclusive: bool):
+        """Acquire the shard's flock; yields False on (real or injected)
+        timeout instead of blocking callers indefinitely."""
+        if fcntl is None:
+            yield True
+            return
+        if (self._faults is not None
+                and self._faults.should_fire(SITE_SHARD_LOCK_TIMEOUT)):
+            yield False
+            return
+        os.makedirs(self._shard_dir(shard), exist_ok=True)
+        lock_path = self._lock_path(shard)
+        os.makedirs(os.path.dirname(lock_path), exist_ok=True)
+        operation = fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH
+        deadline = time.monotonic() + self.lock_timeout
+        with open(lock_path, "a") as handle:
+            while True:
+                try:
+                    fcntl.flock(handle.fileno(),
+                                operation | fcntl.LOCK_NB)
+                    break
+                except OSError:
+                    if time.monotonic() > deadline:
+                        yield False
+                        return
+                    time.sleep(0.005)
+            try:
+                yield True
+            finally:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+
+    def _note_lock_timeout(self, tier: str) -> None:
+        if self._lock_timeouts is not None:
+            self._lock_timeouts.inc(tier=tier)
+
+    # -- integrity ---------------------------------------------------------
+
+    def _verify(self, tier: str, key: str, path: str, raw: bytes):
+        """Check one entry's bytes; returns ``(verdict, payload)``.
+
+        The one integrity check, shared by lookups and :meth:`rebuild`.
+        ``verdict`` is ``"valid"``; ``"stale_dropped"`` (another
+        revision's stamp or a foreign tier/key: not corruption, so the
+        file is deleted); ``"quarantined"`` (unparseable, malformed, or
+        failing its checksum: moved aside); or ``"shard_quarantined"``
+        when that quarantine also tripped the shard breaker and the
+        whole shard left with it.
+        """
+        try:
+            document = json.loads(raw.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            return self._quarantine(tier, key, path), None
+        if not isinstance(document, dict) or "payload" not in document:
+            return self._quarantine(tier, key, path), None
+        if (document.get("stamp") != self.stamp
+                or document.get("tier") != tier
+                or document.get("key") != key):
+            # Dropped so the directory does not accumulate unreadable
+            # files across revisions.
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            return "stale_dropped", None
+        payload = document["payload"]
+        if document.get("checksum") != payload_checksum(payload):
+            return self._quarantine(tier, key, path), None
+        return "valid", payload
+
+    def _quarantine(self, tier: str, key: str, path: str) -> str:
+        """Move a corrupt entry aside (post-mortem) and count it; a shard
+        reaching the corruption threshold goes to quarantine whole.
+        Returns the :meth:`_verify` verdict."""
         destination = os.path.join(
             self.persist_dir, QUARANTINE_DIR,
             f"{tier}.{key}.{uuid.uuid4().hex[:8]}.json")
@@ -236,50 +354,57 @@ class ResultCache:
                 os.unlink(path)  # quarantine failed; at least drop it
             except OSError:
                 pass
+        shard = shard_of(key)
         with self._lock:
             self._stats[tier].corruptions += 1
+            count = self._shard_corruptions.get(shard, 0) + 1
+            tripped = count >= self._shard_corruption_threshold
+            self._shard_corruptions[shard] = 0 if tripped else count
         if self._corruptions is not None:
             self._corruptions.inc(tier=tier)
+        if not tripped:
+            return "quarantined"
+        self._quarantine_shard(shard)
+        return "shard_quarantined"
+
+    def _quarantine_shard(self, shard: int) -> None:
+        """Move a whole damaged shard aside and start it fresh."""
+        source = self._shard_dir(shard)
+        destination = os.path.join(
+            self.persist_dir, QUARANTINE_DIR,
+            f"shard-{shard:02d}.{uuid.uuid4().hex[:8]}")
+        try:
+            os.makedirs(os.path.dirname(destination), exist_ok=True)
+            os.replace(source, destination)
+        except OSError:
+            shutil.rmtree(source, ignore_errors=True)
+        try:
+            os.makedirs(source, exist_ok=True)
+        except OSError:
+            pass
+
+    # -- disk I/O ----------------------------------------------------------
 
     def _disk_read(self, tier: str, key: str) -> Any:
-        path = self._path(tier, key)
-        if path is None:
+        if self.persist_dir is None:
             return MISS
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            return MISS
-        if self._faults is not None:
-            raw = self._faults.corrupt(SITE_CACHE_READ, raw)
-        try:
-            document = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine(tier, key, path, "unparseable")
-            return MISS
-        if not isinstance(document, dict) or "payload" not in document:
-            self._quarantine(tier, key, path, "malformed")
-            return MISS
-        if (document.get("stamp") != self.stamp
-                or document.get("tier") != tier
-                or document.get("key") != key):
-            # Stale or foreign entry — not corruption: drop it so the
-            # directory does not accumulate unreadable files across
-            # revisions.
+        with self._shard_lock(shard_of(key), exclusive=False) as held:
+            if not held:
+                self._note_lock_timeout(tier)
+                return MISS
+            path = self._path(tier, key)
             try:
-                os.unlink(path)
+                with open(path, "rb") as handle:
+                    raw = handle.read()
             except OSError:
-                pass
-            return MISS
-        payload = document["payload"]
-        if document.get("checksum") != payload_checksum(payload):
-            self._quarantine(tier, key, path, "checksum mismatch")
-            return MISS
-        return payload
+                return MISS
+            if self._faults is not None:
+                raw = self._faults.corrupt(SITE_CACHE_READ, raw)
+            verdict, payload = self._verify(tier, key, path, raw)
+            return payload if verdict == "valid" else MISS
 
     def _disk_write(self, tier: str, key: str, payload: Any) -> None:
-        path = self._path(tier, key)
-        if path is None:
+        if self.persist_dir is None:
             return
         document = {"stamp": self.stamp, "tier": tier, "key": key,
                     "checksum": payload_checksum(payload),
@@ -287,22 +412,27 @@ class ResultCache:
         raw = json.dumps(document).encode("utf-8")
         if self._faults is not None:
             raw = self._faults.corrupt(SITE_CACHE_WRITE, raw)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        # Unique temp name per writer + atomic replace: a concurrent
-        # reader sees either the old complete entry or the new complete
-        # entry, never a torn file.
-        tmp_path = os.path.join(
-            directory, f".{key}.{uuid.uuid4().hex}.tmp")
-        try:
-            with open(tmp_path, "wb") as handle:
-                handle.write(raw)
-            os.replace(tmp_path, path)
-        except OSError:
+        with self._shard_lock(shard_of(key), exclusive=True) as held:
+            if not held:
+                self._note_lock_timeout(tier)
+                return  # memory tier already updated; disk write skipped
+            path = self._path(tier, key)
+            directory = os.path.dirname(path)
+            os.makedirs(directory, exist_ok=True)
+            # Unique temp name per writer + atomic replace: a concurrent
+            # reader sees either the old complete entry or the new
+            # complete entry, never a torn file.
+            tmp_path = os.path.join(
+                directory, f".{key}.{uuid.uuid4().hex}.tmp")
             try:
-                os.unlink(tmp_path)
+                with open(tmp_path, "wb") as handle:
+                    handle.write(raw)
+                os.replace(tmp_path, path)
             except OSError:
-                pass
+                try:
+                    os.unlink(tmp_path)
+                except OSError:
+                    pass
 
     # -- public API -------------------------------------------------------
 
@@ -379,240 +509,59 @@ class ResultCache:
                 report[tier] = data
             return report
 
-
-class ShardedResultCache(ResultCache):
-    """Hash-partitioned :class:`ResultCache` safe for concurrent writers
-    across processes.
-
-    The disk layer is split into ``n_shards`` directories
-    (``shard-00/``, ``shard-01/``, ...; a key's shard is its SHA-256
-    prefix mod ``n_shards``), each guarded by a lock file
-    (``locks/shard-NN.lock``, kept outside the shard directory so
-    shard quarantine cannot replace a held lock's inode) taken with
-    ``fcntl.flock`` — shared for reads, exclusive for writes — so
-    a fleet of worker processes and replicas can share one cache
-    directory without coordination. Entry format, checksums, and the
-    per-entry quarantine path are inherited unchanged from the base
-    class (v2 entries).
-
-    Two failure policies are layered on top:
-
-    - **Lock timeouts are misses, never stalls.** A shard lock that
-      cannot be taken within ``lock_timeout`` seconds degrades the
-      operation — reads report a miss, writes update memory only — and
-      is counted in ``repro_cache_lock_timeouts_total{tier=...}``. The
-      ``shard.lock_timeout`` fault site simulates this.
-    - **Shard-level corruption quarantine.** A shard that accumulates
-      ``shard_corruption_threshold`` corrupt entries is presumed
-      damaged (torn filesystem, bad disk) and moved wholesale to the
-      quarantine directory; a fresh empty shard takes its place.
-
-    :meth:`rebuild` is the restart path: it walks every shard, drops
-    stale-stamp entries, quarantines corrupt ones, and reports what it
-    found, so a crashed process's cache directory is verified before
-    being trusted.
-    """
-
-    def __init__(self, max_entries: int = 256,
-                 persist_dir: Optional[str] = None,
-                 metrics=None,
-                 stamp: Optional[str] = None,
-                 faults: Optional[FaultInjector] = None,
-                 n_shards: int = 8,
-                 lock_timeout: float = 2.0,
-                 shard_corruption_threshold: int = 4) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
-        super().__init__(max_entries=max_entries, persist_dir=persist_dir,
-                         metrics=metrics, stamp=stamp, faults=faults)
-        self.n_shards = int(n_shards)
-        self.lock_timeout = float(lock_timeout)
-        self._shard_corruption_threshold = int(shard_corruption_threshold)
-        self._shard_corruptions: Dict[int, int] = {}
-        self._lock_timeouts = None
-        if metrics is not None:
-            self._lock_timeouts = metrics.counter(
-                "repro_cache_lock_timeouts_total",
-                "Shard lock acquisitions that timed out (degraded to "
-                "miss/skip).",
-                labelnames=("tier",))
-
-    # -- sharding ----------------------------------------------------------
-
-    def shard_of(self, key: str) -> int:
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-        return int(digest[:8], 16) % self.n_shards
-
-    def _shard_name(self, shard: int) -> str:
-        return f"shard-{shard:02d}"
-
-    def _shard_dir(self, shard: int) -> str:
-        return os.path.join(self.persist_dir, self._shard_name(shard))
-
-    def _path(self, tier: str, key: str) -> Optional[str]:
-        if self.persist_dir is None:
-            return None
-        return os.path.join(self._shard_dir(self.shard_of(key)),
-                            tier, f"{key}.json")
-
-    def _lock_path(self, shard: int) -> str:
-        # Lock files live OUTSIDE the shard directory: shard quarantine
-        # os.replace()s the whole shard dir, and a lock moved with it
-        # would fork the lock identity — holders of the old inode and
-        # of the fresh file would both believe they hold "the" shard
-        # lock and write concurrently.
-        return os.path.join(self.persist_dir, "locks",
-                            f"{self._shard_name(shard)}.lock")
-
-    # -- shard locks -------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _shard_lock(self, shard: int, exclusive: bool):
-        """Acquire the shard's flock; yields False on (real or injected)
-        timeout instead of blocking callers indefinitely."""
-        if self.persist_dir is None or fcntl is None:
-            yield True
-            return
-        if (self._faults is not None
-                and self._faults.should_fire(SITE_SHARD_LOCK_TIMEOUT)):
-            yield False
-            return
-        os.makedirs(self._shard_dir(shard), exist_ok=True)
-        lock_path = self._lock_path(shard)
-        os.makedirs(os.path.dirname(lock_path), exist_ok=True)
-        operation = fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH
-        deadline = time.monotonic() + self.lock_timeout
-        with open(lock_path, "a") as handle:
-            while True:
-                try:
-                    fcntl.flock(handle.fileno(),
-                                operation | fcntl.LOCK_NB)
-                    break
-                except OSError:
-                    if time.monotonic() > deadline:
-                        yield False
-                        return
-                    time.sleep(0.005)
-            try:
-                yield True
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-    def _note_lock_timeout(self, tier: str) -> None:
-        if self._lock_timeouts is not None:
-            self._lock_timeouts.inc(tier=tier)
-
-    def _disk_read(self, tier: str, key: str) -> Any:
-        if self.persist_dir is None:
-            return MISS
-        with self._shard_lock(self.shard_of(key), exclusive=False) as held:
-            if not held:
-                self._note_lock_timeout(tier)
-                return MISS
-            return super()._disk_read(tier, key)
-
-    def _disk_write(self, tier: str, key: str, payload: Any) -> None:
-        if self.persist_dir is None:
-            return
-        with self._shard_lock(self.shard_of(key), exclusive=True) as held:
-            if not held:
-                self._note_lock_timeout(tier)
-                return  # memory tier already updated; disk write skipped
-            super()._disk_write(tier, key, payload)
-
-    # -- shard-level quarantine --------------------------------------------
-
-    def _quarantine(self, tier: str, key: str, path: str,
-                    cause: str) -> None:
-        super()._quarantine(tier, key, path, cause)
-        shard = self.shard_of(key)
-        with self._lock:
-            count = self._shard_corruptions.get(shard, 0) + 1
-            self._shard_corruptions[shard] = count
-            tripped = count >= self._shard_corruption_threshold
-            if tripped:
-                self._shard_corruptions[shard] = 0
-        if tripped:
-            self._quarantine_shard(shard)
-
-    def _quarantine_shard(self, shard: int) -> None:
-        """Move a whole damaged shard aside and start it fresh."""
-        source = self._shard_dir(shard)
-        destination = os.path.join(
-            self.persist_dir, QUARANTINE_DIR,
-            f"{self._shard_name(shard)}.{uuid.uuid4().hex[:8]}")
-        try:
-            os.makedirs(os.path.dirname(destination), exist_ok=True)
-            os.replace(source, destination)
-        except OSError:
-            try:
-                shutil.rmtree(source, ignore_errors=True)
-            except OSError:
-                pass
-        try:
-            os.makedirs(source, exist_ok=True)
-        except OSError:
-            pass
-
-    # -- restart path ------------------------------------------------------
-
     def rebuild(self) -> Dict[str, int]:
-        """Validate every on-disk entry after a restart.
+        """Validate every on-disk entry before a server trusts it.
 
         Walks all shards under an exclusive lock, quarantining entries
         that fail to parse or checksum and dropping entries stamped by
         another code revision. Valid entries stay on disk (they promote
         into memory lazily on first hit). Returns a report:
-        ``{"scanned", "valid", "quarantined", "stale_dropped"}``.
+        ``{"scanned", "valid", "quarantined", "stale_dropped"}``; every
+        entry that leaves with a quarantined shard counts as
+        ``quarantined``.
         """
         report = {"scanned": 0, "valid": 0, "quarantined": 0,
                   "stale_dropped": 0}
         if self.persist_dir is None:
             return report
-        for shard in range(self.n_shards):
+        for shard in range(N_SHARDS):
             shard_dir = self._shard_dir(shard)
             if not os.path.isdir(shard_dir):
                 continue
             with self._shard_lock(shard, exclusive=True) as held:
                 if not held:
                     continue  # busy shard: another process owns it now
+                entries = []
                 for tier in TIERS:
                     tier_dir = os.path.join(shard_dir, tier)
-                    if not os.path.isdir(tier_dir):
+                    if os.path.isdir(tier_dir):
+                        entries += [
+                            (tier, name[:-len(".json")],
+                             os.path.join(tier_dir, name))
+                            for name in sorted(os.listdir(tier_dir))
+                            if name.endswith(".json")]
+                report["scanned"] += len(entries)
+                valid = 0
+                for index, (tier, key, path) in enumerate(entries):
+                    try:
+                        with open(path, "rb") as handle:
+                            raw = handle.read()
+                    except OSError:
+                        # Vanished mid-scan: a concurrent writer.
+                        report["stale_dropped"] += 1
                         continue
-                    for filename in sorted(os.listdir(tier_dir)):
-                        if not filename.endswith(".json"):
-                            continue
-                        key = filename[:-len(".json")]
-                        path = os.path.join(tier_dir, filename)
-                        report["scanned"] += 1
-                        report[self._validate_entry(tier, key, path)] += 1
+                    verdict, _ = self._verify(tier, key, path, raw)
+                    if verdict == "shard_quarantined":
+                        # This entry, the rest of the walk, and the
+                        # entries already found valid left with the
+                        # shard.
+                        report["quarantined"] += (
+                            valid + len(entries) - index)
+                        valid = 0
+                        break
+                    if verdict == "valid":
+                        valid += 1
+                    else:
+                        report[verdict] += 1
+                report["valid"] += valid
         return report
-
-    def _validate_entry(self, tier: str, key: str, path: str) -> str:
-        """Classify one disk entry; quarantines/unlinks as needed."""
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError:
-            return "stale_dropped"  # vanished mid-scan: concurrent writer
-        try:
-            document = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine(tier, key, path, "unparseable")
-            return "quarantined"
-        if not isinstance(document, dict) or "payload" not in document:
-            self._quarantine(tier, key, path, "malformed")
-            return "quarantined"
-        if (document.get("stamp") != self.stamp
-                or document.get("tier") != tier
-                or document.get("key") != key):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return "stale_dropped"
-        if document.get("checksum") != payload_checksum(document["payload"]):
-            self._quarantine(tier, key, path, "checksum mismatch")
-            return "quarantined"
-        return "valid"

@@ -40,12 +40,7 @@ from repro.exceptions import (
     UnknownBaseError,
 )
 from repro.parallel import ProcessWorkerPool, resolve_n_jobs
-from repro.service.cache import (
-    MISS,
-    ResultCache,
-    ShardedResultCache,
-    TIER_ESTIMATE,
-)
+from repro.service.cache import MISS, TIER_ESTIMATE, ResultCache
 from repro.service.faults import (
     SITE_WORKER_KILL,
     SITE_WORKER_STALL,
@@ -105,7 +100,9 @@ class ServiceClient:
         Bounded-queue backpressure limit.
     cache_dir:
         Directory for the persistent cache layer (``None`` = memory
-        only).
+        only). Verified by :meth:`~repro.service.cache.ResultCache.rebuild`
+        at start (the report is kept as :attr:`cache_rebuild`); any
+        number of servers and worker processes may share it.
     cache_entries:
         Per-tier in-memory LRU bound.
     default_timeout:
@@ -126,20 +123,10 @@ class ServiceClient:
         :class:`~repro.parallel.ProcessWorkerPool` of OS-process
         workers (crash-only serving: a worker that dies or stops
         heartbeating is killed and replaced, the job is requeued, and
-        poison requests are quarantined). Process mode uses a
-        :class:`~repro.service.cache.ShardedResultCache` so the parent
-        and every worker can share one cache directory; the parent
-        still answers warm estimate-tier hits in-process, so repeat
-        traffic never pays the pipe.
-    cache_shards:
-        Shard count for the sharded cache layout (both sides must
-        agree; ignored when the plain cache is in use).
-    sharded_cache:
-        Force the :class:`~repro.service.cache.ShardedResultCache` even
-        in thread mode. Replica fleets set this so multiple replica
-        processes can share one ``cache_dir`` safely — per-shard file
-        locks serialize cross-process writers. Process mode always
-        shards regardless of this flag.
+        poison requests are quarantined). The parent and every
+        worker share one cache directory; the parent still answers
+        warm estimate-tier hits in-process, so repeat traffic never
+        pays the pipe.
     process_pool:
         Optional dict of :class:`~repro.parallel.ProcessWorkerPool`
         overrides (``heartbeat_interval``, ``heartbeat_timeout``,
@@ -154,8 +141,6 @@ class ServiceClient:
                  library=None,
                  faults: Optional[FaultInjector] = None,
                  worker_mode: str = "thread",
-                 cache_shards: int = 8,
-                 sharded_cache: bool = False,
                  process_pool: Optional[Dict[str, Any]] = None) -> None:
         if worker_mode not in ("thread", "process"):
             raise ConfigurationError(
@@ -183,24 +168,17 @@ class ServiceClient:
             "repro_worker_restarts_total",
             "Replacement worker threads started by supervision.")
         self._pool_restarts_seen = 0
-        #: Cache-directory verification report from process-mode startup
-        #: (``None`` in thread mode / without a persist dir).
-        self.cache_rebuild: Optional[Dict[str, int]] = None
         self._process_pool: Optional[ProcessWorkerPool] = None
-
-        if worker_mode == "process" or sharded_cache:
-            self.cache = ShardedResultCache(
-                max_entries=cache_entries, persist_dir=cache_dir,
-                metrics=self.metrics, faults=faults, n_shards=cache_shards)
-            if cache_dir is not None:
-                # Crash-safe restart: verify what a (possibly crashed)
-                # predecessor left on disk before trusting it.
-                self.cache_rebuild = self.cache.rebuild()
-        else:
-            self.cache = ResultCache(max_entries=cache_entries,
-                                     persist_dir=cache_dir,
-                                     metrics=self.metrics,
-                                     faults=faults)
+        self.cache = ResultCache(max_entries=cache_entries,
+                                 persist_dir=cache_dir,
+                                 metrics=self.metrics, faults=faults)
+        #: Cache-directory verification report from startup (``None``
+        #: without a persist dir).
+        self.cache_rebuild: Optional[Dict[str, int]] = None
+        if cache_dir is not None:
+            # Crash-safe restart: verify what a (possibly crashed)
+            # predecessor left on disk before trusting it.
+            self.cache_rebuild = self.cache.rebuild()
 
         if worker_mode == "process":
             pool_options = dict(process_pool or {})
@@ -208,7 +186,6 @@ class ServiceClient:
                 cache_dir=cache_dir,
                 cache_entries=cache_entries,
                 cache_stamp=self.cache.stamp,
-                n_shards=cache_shards,
                 lock_timeout=self.cache.lock_timeout,
                 fault_rules=faults.rules() if faults is not None else {},
                 fault_seed=faults.seed if faults is not None else 0,
@@ -233,7 +210,9 @@ class ServiceClient:
         self.scheduler = EstimationScheduler(
             compute, workers=workers, queue_limit=queue_limit,
             default_timeout=default_timeout, metrics=self.metrics,
-            faults=faults)
+            faults=faults,
+            live_workers=(None if self._process_pool is None
+                          else self._live_process_slots))
 
     def _compute(self, request, job=None):
         """Scheduler compute hook: dispatch on the request type."""
@@ -245,10 +224,16 @@ class ServiceClient:
 
     # -- process-mode dispatch --------------------------------------------
 
+    def _live_process_slots(self) -> int:
+        """Process mode's live compute slots: pool slots whose shepherd
+        has not retired. Zero once the pool has stopped, and steady
+        while a worker respawns."""
+        return self._process_pool.live_slots
+
     def _draw_chaos(self) -> Optional[str]:
         """Parent-side worker chaos decision for the next dispatch.
 
-        Drawn here — one fleet-wide seeded stream with one ``max_fires``
+        Drawn here — one pool-wide seeded stream with one ``max_fires``
         budget — rather than inside workers, whose injectors (and their
         budgets) are reborn on every respawn and would crash-loop.
         """

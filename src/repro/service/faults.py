@@ -23,7 +23,7 @@ sites:
     the remote client must retry (safe: requests are content-hashed
     and idempotent).
 
-Process-level deployments add four more sites:
+Process-level deployments add three more sites:
 
 ``worker.kill``
     A process worker hard-exits (``os._exit``) mid-task — the
@@ -31,11 +31,8 @@ Process-level deployments add four more sites:
 ``worker.stall``
     A process worker stops heartbeating and blocks (as a GIL-held hang
     would) — the supervisor must kill and replace it.
-``replica.kill``
-    A whole serving replica hard-exits — the fleet supervisor must
-    restart it and the front router must fail requests over.
 ``shard.lock_timeout``
-    A sharded-cache lock acquisition times out — reads degrade to a
+    A cache shard-lock acquisition times out — reads degrade to a
     miss and writes are skipped; results must still be computed.
 
 Injection is **off by default and free when off**: components hold
@@ -73,7 +70,6 @@ SITE_CACHE_WRITE = "cache.write"
 SITE_HTTP_DISCONNECT = "http.disconnect"
 SITE_WORKER_KILL = "worker.kill"
 SITE_WORKER_STALL = "worker.stall"
-SITE_REPLICA_KILL = "replica.kill"
 SITE_SHARD_LOCK_TIMEOUT = "shard.lock_timeout"
 
 SITES = (
@@ -84,7 +80,6 @@ SITES = (
     SITE_HTTP_DISCONNECT,
     SITE_WORKER_KILL,
     SITE_WORKER_STALL,
-    SITE_REPLICA_KILL,
     SITE_SHARD_LOCK_TIMEOUT,
 )
 

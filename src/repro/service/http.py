@@ -20,8 +20,9 @@ dependencies) exposing:
 ``GET /v1/jobs/<id>``
     Job status snapshot; includes the serialized estimate once done.
 ``GET /v1/healthz``
-    Liveness: ``200`` while worker threads are alive, ``503``
-    otherwise. Stays ``200`` during drain — the process is alive.
+    Liveness: ``200`` while compute slots are live (worker threads,
+    or process-pool slots that have not retired), ``503`` otherwise.
+    Stays ``200`` during drain — the process is alive.
 ``GET /v1/readyz``
     Readiness: ``200`` only when the server can take new work *now*;
     ``503`` while draining, while the queue is saturated

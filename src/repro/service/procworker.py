@@ -3,7 +3,7 @@
 When a :class:`~repro.service.client.ServiceClient` runs with process
 workers, each worker process builds its own full compute stack after the
 fork — standard-cell library, :class:`EstimationPipeline`, and a
-:class:`~repro.service.cache.ShardedResultCache` pointed at the *same*
+:class:`~repro.service.cache.ResultCache` pointed at the *same*
 cache directory as the parent (the per-shard file locks are what make
 that safe). Tasks arrive as small JSON-ish descriptors and results
 travel back as live, picklable :class:`LeakageEstimate` /
@@ -18,7 +18,7 @@ Design decisions that live here:
   ships it, so a fork mid-stamp can never deadlock a worker.
 - **Chaos is commanded, not drawn.** The ``worker.kill`` /
   ``worker.stall`` fault sites draw in the *parent*, from one
-  fleet-wide seeded stream with one ``max_fires`` budget, and the
+  pool-wide seeded stream with one ``max_fires`` budget, and the
   descriptor carries the command. Child-local injectors would reset
   their fire budgets on every respawn and crash-loop forever. Commands
   execute only on delivery attempt 1 — after the supervisor requeues
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.parallel import process_worker_context
-from repro.service.cache import ShardedResultCache
+from repro.service.cache import ResultCache
 from repro.service.faults import (
     SITE_CACHE_READ,
     SITE_CACHE_WRITE,
@@ -58,8 +58,8 @@ from repro.service.sweep import SweepRequest
 from repro.service.whatif import WhatIfRequest
 
 #: Fault sites a worker process injects locally (everything else —
-#: worker.kill, worker.stall, replica.kill, http.disconnect — is drawn
-#: by the layer that owns the blast radius).
+#: worker.kill, worker.stall, http.disconnect — is drawn by the layer
+#: that owns the blast radius).
 CHILD_FAULT_SITES = (SITE_CACHE_READ, SITE_CACHE_WRITE, SITE_COMPUTE_HANG,
                      SITE_SHARD_LOCK_TIMEOUT)
 
@@ -79,7 +79,6 @@ class ProcessWorkerConfig:
     cache_dir: Optional[str] = None
     cache_entries: int = 256
     cache_stamp: Optional[str] = None
-    n_shards: int = 8
     lock_timeout: float = 2.0
     fault_rules: Dict[str, FaultRule] = field(default_factory=dict)
     fault_seed: int = 0
@@ -145,12 +144,11 @@ def _child_faults(config: ProcessWorkerConfig) -> Optional[FaultInjector]:
 def worker_init(config: ProcessWorkerConfig) -> _WorkerState:
     """Pool ``init_fn``: build the child-side cache, faults, pipeline."""
     faults = _child_faults(config)
-    cache = ShardedResultCache(
+    cache = ResultCache(
         max_entries=config.cache_entries,
         persist_dir=config.cache_dir,
         stamp=config.cache_stamp,
         faults=faults,
-        n_shards=config.n_shards,
         lock_timeout=config.lock_timeout)
     pipeline = EstimationPipeline(cache=cache, faults=faults)
     return _WorkerState(pipeline, faults)

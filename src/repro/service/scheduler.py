@@ -92,6 +92,11 @@ class EstimationScheduler:
     faults:
         Optional :class:`~repro.service.faults.FaultInjector`; the
         ``worker.crash`` site fires between dequeue and compute.
+    live_workers:
+        Optional count of live compute slots, for when ``compute``
+        hands work to another pool (process mode). Health, readiness,
+        and the ``repro_workers_alive`` gauge read it; the default
+        counts the scheduler's own worker threads.
     """
 
     def __init__(self, compute: Callable[[EstimateRequest, Job],
@@ -102,7 +107,8 @@ class EstimationScheduler:
                  max_requeues: int = 2,
                  hang_grace: float = 1.0,
                  supervise_interval: float = 0.05,
-                 faults: Optional[FaultInjector] = None) -> None:
+                 faults: Optional[FaultInjector] = None,
+                 live_workers: Optional[Callable[[], int]] = None) -> None:
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit!r}")
         self._compute = compute
@@ -111,6 +117,7 @@ class EstimationScheduler:
         self.max_requeues = int(max_requeues)
         self.hang_grace = float(hang_grace)
         self._faults = faults
+        self._live_workers = live_workers
         self._lock = threading.Lock()
         self._work_available = threading.Condition(self._lock)
         self._heap: List[Tuple[int, int, Job]] = []
@@ -140,7 +147,8 @@ class EstimationScheduler:
                 "repro_coalesced_requests_total",
                 "Submissions absorbed by an identical in-flight job.")
             self._workers_gauge = metrics.gauge(
-                "repro_workers_alive", "Live scheduler worker threads.")
+                "repro_workers_alive",
+                "Live compute slots (worker threads or processes).")
             self._requeued_total = metrics.counter(
                 "repro_requeued_jobs_total",
                 "Jobs requeued after their worker crashed.")
@@ -252,6 +260,8 @@ class EstimationScheduler:
 
     @property
     def workers_alive(self) -> int:
+        if self._live_workers is not None:
+            return self._live_workers()
         return self._pool.alive_count
 
     @property
@@ -325,7 +335,7 @@ class EstimationScheduler:
 
     def _update_worker_gauge(self) -> None:
         if self._workers_gauge is not None:
-            self._workers_gauge.set(self._pool.alive_count)
+            self._workers_gauge.set(self.workers_alive)
 
     def _next_job(self, stop: threading.Event) -> Optional[Job]:
         with self._work_available:

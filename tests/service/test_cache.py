@@ -1,4 +1,5 @@
-"""Tiered cache: LRU semantics, disk persistence, concurrency safety."""
+"""Tiered cache: LRU semantics, sharded disk persistence, integrity,
+concurrency safety."""
 
 from __future__ import annotations
 
@@ -11,13 +12,18 @@ import pytest
 from repro.service.cache import (
     MISS,
     ResultCache,
-    ShardedResultCache,
     TIER_CHARACTERIZATION,
     TIER_ESTIMATE,
     TIER_RG,
     cache_stamp,
+    shard_of,
 )
 from repro.service.metrics import MetricsRegistry
+
+
+def entry_path(root, key, tier=TIER_ESTIMATE):
+    """Where the disk layer keeps one entry."""
+    return root / f"shard-{shard_of(key):02d}" / tier / f"{key}.json"
 
 
 class TestMemoryTier:
@@ -81,12 +87,12 @@ class TestDiskTier:
     def test_no_payload_means_memory_only(self, tmp_path):
         cache = ResultCache(persist_dir=str(tmp_path))
         cache.put(TIER_RG, "k", object())
-        assert not os.path.exists(tmp_path / TIER_RG / "k.json")
+        assert not entry_path(tmp_path, "k", TIER_RG).exists()
 
     def test_stale_stamp_invalidates_and_removes(self, tmp_path):
         old = ResultCache(persist_dir=str(tmp_path), stamp="v1:old-rev")
         old.put(TIER_ESTIMATE, "k", 1, payload=1)
-        path = tmp_path / TIER_ESTIMATE / "k.json"
+        path = entry_path(tmp_path, "k")
         assert path.exists()
         new = ResultCache(persist_dir=str(tmp_path), stamp="v1:new-rev")
         assert new.get(TIER_ESTIMATE, "k") is MISS
@@ -94,10 +100,11 @@ class TestDiskTier:
 
     def test_torn_or_foreign_files_read_as_miss(self, tmp_path):
         cache = ResultCache(persist_dir=str(tmp_path))
-        directory = tmp_path / TIER_ESTIMATE
-        directory.mkdir(parents=True)
-        (directory / "torn.json").write_text('{"stamp": "x", "pay')
-        (directory / "foreign.json").write_text(json.dumps([1, 2, 3]))
+        for key, text in (("torn", '{"stamp": "x", "pay'),
+                          ("foreign", json.dumps([1, 2, 3]))):
+            path = entry_path(tmp_path, key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
         assert cache.get(TIER_ESTIMATE, "torn") is MISS
         assert cache.get(TIER_ESTIMATE, "foreign") is MISS
 
@@ -124,7 +131,7 @@ class TestConcurrency:
 
         def reader():
             start.wait()
-            path = tmp_path / TIER_ESTIMATE / "contested.json"
+            path = entry_path(tmp_path, "contested")
             seen = 0
             while seen < rounds * 2:
                 seen += 1
@@ -149,8 +156,10 @@ class TestConcurrency:
             thread.join()
         assert not errors
         # No temp files left behind.
-        leftovers = [name for name in os.listdir(tmp_path / TIER_ESTIMATE)
-                     if name.endswith(".tmp")]
+        leftovers = [
+            name for name in os.listdir(entry_path(tmp_path,
+                                                   "contested").parent)
+            if name.endswith(".tmp")]
         assert leftovers == []
         # And the final entry is complete and current.
         cache.clear_memory()
@@ -184,7 +193,7 @@ class TestIntegrity:
     and answered with a MISS — never with corrupt data."""
 
     def _edit_entry(self, tmp_path, mutate):
-        path = tmp_path / TIER_ESTIMATE / "k.json"
+        path = entry_path(tmp_path, "k")
         document = json.loads(path.read_text())
         mutate(document)
         path.write_text(json.dumps(document))
@@ -203,7 +212,7 @@ class TestIntegrity:
         assert len(quarantined) == 1
         assert quarantined[0].name.startswith(f"{TIER_ESTIMATE}.k.")
         # The original slot is free for a clean recompute.
-        assert not (tmp_path / TIER_ESTIMATE / "k.json").exists()
+        assert not entry_path(tmp_path, "k").exists()
         cache.put(TIER_ESTIMATE, "k", {"mean": 1.0}, payload={"mean": 1.0})
         cache.clear_memory()
         assert cache.get(TIER_ESTIMATE, "k") == {"mean": 1.0}
@@ -254,10 +263,9 @@ class TestIntegrity:
                 != payload_checksum({"a": 2}))
 
 
-def _sharded_writer_main(persist_dir, writer_index, n_keys):
+def _writer_main(persist_dir, writer_index, n_keys):
     """Child-process body for the cross-process writer test."""
-    cache = ShardedResultCache(persist_dir=persist_dir, n_shards=4,
-                               stamp="v2:test")
+    cache = ResultCache(persist_dir=persist_dir, stamp="v2:test")
     for item in range(n_keys):
         key = f"proc-{writer_index}-{item}"
         cache.put(TIER_ESTIMATE, key, {"v": item},
@@ -266,7 +274,7 @@ def _sharded_writer_main(persist_dir, writer_index, n_keys):
 
 class TestShardedCache:
     def test_round_trip_lands_in_shard_directories(self, tmp_path):
-        cache = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4)
+        cache = ResultCache(persist_dir=str(tmp_path))
         keys = [f"key-{index}" for index in range(16)]
         for index, key in enumerate(keys):
             cache.put(TIER_ESTIMATE, key, {"v": index},
@@ -274,16 +282,14 @@ class TestShardedCache:
         cache.clear_memory()
         for index, key in enumerate(keys):
             assert cache.get(TIER_ESTIMATE, key) == {"v": index}
-            shard = cache.shard_of(key)
-            assert (tmp_path / f"shard-{shard:02d}" / TIER_ESTIMATE
-                    / f"{key}.json").exists()
+            assert entry_path(tmp_path, key).exists()
         # 16 hash-distributed keys use more than one shard.
-        assert len({cache.shard_of(key) for key in keys}) > 1
+        assert len({shard_of(key) for key in keys}) > 1
 
     def test_persistence_across_instances(self, tmp_path):
-        first = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4)
+        first = ResultCache(persist_dir=str(tmp_path))
         first.put(TIER_ESTIMATE, "k", {"mean": 2.5}, payload={"mean": 2.5})
-        second = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4)
+        second = ResultCache(persist_dir=str(tmp_path))
         assert second.get(TIER_ESTIMATE, "k") == {"mean": 2.5}
 
     def test_concurrent_writers_across_processes(self, tmp_path):
@@ -294,7 +300,7 @@ class TestShardedCache:
             else None)
         n_writers, per_writer = 4, 20
         processes = [
-            context.Process(target=_sharded_writer_main,
+            context.Process(target=_writer_main,
                             args=(str(tmp_path), index, per_writer))
             for index in range(n_writers)]
         for process in processes:
@@ -302,8 +308,7 @@ class TestShardedCache:
         for process in processes:
             process.join(timeout=60)
             assert process.exitcode == 0
-        reader = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4,
-                                    stamp="v2:test")
+        reader = ResultCache(persist_dir=str(tmp_path), stamp="v2:test")
         for writer_index in range(n_writers):
             for item in range(per_writer):
                 key = f"proc-{writer_index}-{item}"
@@ -315,50 +320,49 @@ class TestShardedCache:
             FaultInjector, FaultRule, SITE_SHARD_LOCK_TIMEOUT)
 
         registry = MetricsRegistry()
-        clean = ShardedResultCache(persist_dir=str(tmp_path), n_shards=2)
+        clean = ResultCache(persist_dir=str(tmp_path))
         clean.put(TIER_ESTIMATE, "k", {"v": 1}, payload={"v": 1})
         faults = FaultInjector(
             {SITE_SHARD_LOCK_TIMEOUT: FaultRule(1.0, 2)})
-        cache = ShardedResultCache(persist_dir=str(tmp_path), n_shards=2,
-                                   metrics=registry, faults=faults)
+        cache = ResultCache(persist_dir=str(tmp_path), metrics=registry,
+                            faults=faults)
         # Fire 1: the read lock "times out" -> miss, not a hang.
         assert cache.get(TIER_ESTIMATE, "k") is MISS
         # Fire 2: the write lock "times out" -> memory updated, disk not.
         cache.put(TIER_ESTIMATE, "k2", {"v": 2}, payload={"v": 2})
         assert cache.get(TIER_ESTIMATE, "k2") == {"v": 2}  # memory hit
-        shard = cache.shard_of("k2")
-        assert not (tmp_path / f"shard-{shard:02d}" / TIER_ESTIMATE
-                    / "k2.json").exists()
+        assert not entry_path(tmp_path, "k2").exists()
         counter = registry.get("repro_cache_lock_timeouts_total")
         assert counter.value(tier=TIER_ESTIMATE) == 2
         # Budget spent: the disk layer works again.
         assert cache.get(TIER_ESTIMATE, "k") == {"v": 1}
 
-    def _same_shard_keys(self, cache, count):
+    def _same_shard_keys(self, count, prefix="shardmate"):
         keys, target = [], None
         index = 0
         while len(keys) < count:
-            key = f"shardmate-{index}"
+            key = f"{prefix}-{index}"
             index += 1
-            shard = cache.shard_of(key)
+            shard = shard_of(key)
             if target is None:
                 target = shard
             if shard == target:
                 keys.append(key)
         return target, keys
 
+    def _break_checksum(self, path):
+        document = json.loads(path.read_text())
+        document["payload"] = {"v": 999}
+        path.write_text(json.dumps(document))
+
     def test_repeated_corruption_quarantines_the_whole_shard(self, tmp_path):
-        cache = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4,
-                                   shard_corruption_threshold=3)
-        shard, keys = self._same_shard_keys(cache, 4)
+        cache = ResultCache(persist_dir=str(tmp_path),
+                            shard_corruption_threshold=3)
+        shard, keys = self._same_shard_keys(4)
         for key in keys:
             cache.put(TIER_ESTIMATE, key, {"v": 1}, payload={"v": 1})
-        shard_dir = tmp_path / f"shard-{shard:02d}"
         for key in keys:
-            path = shard_dir / TIER_ESTIMATE / f"{key}.json"
-            document = json.loads(path.read_text())
-            document["payload"] = {"v": 999}  # break the checksum
-            path.write_text(json.dumps(document))
+            self._break_checksum(entry_path(tmp_path, key))
         cache.clear_memory()
         for key in keys[:3]:  # third corruption trips the shard breaker
             assert cache.get(TIER_ESTIMATE, key) is MISS
@@ -374,9 +378,9 @@ class TestShardedCache:
         assert cache.get(TIER_ESTIMATE, keys[3]) == {"v": 5}
 
     def test_shard_lock_identity_survives_shard_quarantine(self, tmp_path):
-        cache = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4,
-                                   shard_corruption_threshold=1)
-        shard, (key,) = self._same_shard_keys(cache, 1)
+        cache = ResultCache(persist_dir=str(tmp_path),
+                            shard_corruption_threshold=1)
+        shard, (key,) = self._same_shard_keys(1)
         cache.put(TIER_ESTIMATE, key, {"v": 1}, payload={"v": 1})
         # Lock files live outside the shard directory...
         lock_path = tmp_path / "locks" / f"shard-{shard:02d}.lock"
@@ -386,11 +390,7 @@ class TestShardedCache:
         # ...so when corruption quarantines the whole shard directory,
         # the lock keeps its inode: a writer holding the flock still
         # excludes writers of the replacement shard.
-        path = (tmp_path / f"shard-{shard:02d}" / TIER_ESTIMATE
-                / f"{key}.json")
-        document = json.loads(path.read_text())
-        document["payload"] = {"v": 999}  # break the checksum
-        path.write_text(json.dumps(document))
+        self._break_checksum(entry_path(tmp_path, key))
         cache.clear_memory()
         assert cache.get(TIER_ESTIMATE, key) is MISS  # trips the breaker
         assert any(entry.name.startswith(f"shard-{shard:02d}.")
@@ -398,23 +398,18 @@ class TestShardedCache:
         assert lock_path.stat().st_ino == inode
 
     def test_rebuild_validates_quarantines_and_drops(self, tmp_path):
-        cache = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4)
+        cache = ResultCache(persist_dir=str(tmp_path))
         for index in range(6):
             cache.put(TIER_ESTIMATE, f"good-{index}", {"v": index},
                       payload={"v": index})
         # One corrupt entry (checksum break) and one stale-stamp entry.
-        bad_path = (tmp_path / f"shard-{cache.shard_of('good-0'):02d}"
-                    / TIER_ESTIMATE / "good-0.json")
-        document = json.loads(bad_path.read_text())
-        document["payload"] = {"v": -1}
-        bad_path.write_text(json.dumps(document))
-        stale_path = (tmp_path / f"shard-{cache.shard_of('good-1'):02d}"
-                      / TIER_ESTIMATE / "good-1.json")
+        self._break_checksum(entry_path(tmp_path, "good-0"))
+        stale_path = entry_path(tmp_path, "good-1")
         document = json.loads(stale_path.read_text())
         document["stamp"] = "v2:other-revision"
         stale_path.write_text(json.dumps(document))
 
-        restarted = ShardedResultCache(persist_dir=str(tmp_path), n_shards=4)
+        restarted = ResultCache(persist_dir=str(tmp_path))
         report = restarted.rebuild()
         assert report["scanned"] == 6
         assert report["valid"] == 4
@@ -425,3 +420,23 @@ class TestShardedCache:
                 "v": index}
         assert restarted.get(TIER_ESTIMATE, "good-0") is MISS
         assert restarted.get(TIER_ESTIMATE, "good-1") is MISS
+
+    def test_rebuild_counts_entries_that_leave_with_a_quarantined_shard(
+            self, tmp_path):
+        # One shard: 3 valid characterization entries, then 10 corrupt
+        # estimate entries. The walk visits characterization first; the
+        # 4th corruption trips the shard breaker and the whole shard --
+        # valid entries and the 6 not yet visited -- goes to quarantine.
+        cache = ResultCache(persist_dir=str(tmp_path))
+        shard, keys = self._same_shard_keys(13)
+        for key in keys[:3]:
+            cache.put(TIER_CHARACTERIZATION, key, {"v": 1},
+                      payload={"v": 1})
+        for key in keys[3:]:
+            cache.put(TIER_ESTIMATE, key, {"v": 1}, payload={"v": 1})
+            self._break_checksum(entry_path(tmp_path, key))
+
+        report = ResultCache(persist_dir=str(tmp_path)).rebuild()
+        assert report == {"scanned": 13, "valid": 0, "quarantined": 13,
+                          "stale_dropped": 0}
+        assert not any((tmp_path / f"shard-{shard:02d}").iterdir())

@@ -1,5 +1,4 @@
-"""Seeded process-level chaos: kill/stall storms against the worker
-pool and replica kills against the fleet.
+"""Seeded process-level chaos: kill/stall storms against the worker pool.
 
 Every storm asserts the crash-only contract end to end: results are
 bit-identical to a calm baseline or a typed, documented error -- never
@@ -9,18 +8,12 @@ a hang, never a partial grid, never an orphaned process.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import threading
-import time
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.service import ServiceClient
 from repro.service.faults import FaultInjector
-from repro.service.fleet import create_front
 from repro.service.jobs import EstimateRequest
 from repro.service.sweep import SweepRequest
 
@@ -145,56 +138,3 @@ class TestWorkerChaos:
             assert estimate.to_dict() == baseline.to_dict()
         finally:
             client.close()
-
-
-class TestReplicaChaos:
-    def test_replica_kill_storm_fails_over_and_heals(self, calm_baseline):
-        baseline, _ = calm_baseline
-        faults = FaultInjector("replica.kill:1.0:1", seed=3)
-        fleet, front = create_front(
-            2,
-            options={"workers": 1, "drain_grace": 20.0},
-            faults=faults,
-            fleet_options={"restart_backoff": 0.05, "max_backoff": 0.5,
-                           "poll_interval": 0.05})
-        thread = threading.Thread(target=front.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{front.server_address[1]}"
-        body = json.dumps(REQUEST.to_dict()).encode("utf-8")
-        try:
-            # The front's seeded draw kills the preferred replica before
-            # routing; failover answers from the survivor, identically.
-            request = urllib.request.Request(
-                base + "/v1/estimate", data=body,
-                headers={"Content-Type": "application/json"})
-            with urllib.request.urlopen(request,
-                                        timeout=240.0) as response:
-                document = json.loads(response.read())
-            assert document["estimate"] == baseline.to_dict()
-            assert faults.fires("replica.kill") == 1
-
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline and fleet.restarts < 1:
-                time.sleep(0.05)
-            assert fleet.restarts >= 1, fleet.failures
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if all(entry["alive"] for entry in fleet.liveness()):
-                    break
-                time.sleep(0.05)
-            assert all(entry["alive"] for entry in fleet.liveness())
-
-            # Chaos budget spent: the healed fleet serves calmly.
-            with urllib.request.urlopen(request,
-                                        timeout=240.0) as response:
-                document = json.loads(response.read())
-            assert document["estimate"] == baseline.to_dict()
-
-            metrics = urllib.request.urlopen(
-                base + "/v1/metrics", timeout=30.0).read().decode("utf-8")
-            assert "repro_front_replica_kills_total 1" in metrics
-            pids = [pid for pid in fleet.pids() if pid]
-        finally:
-            front.drain(grace=30.0)
-            thread.join(timeout=10.0)
-        _assert_no_orphans(pids)

@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import threading
+import urllib.request
 
 import pytest
 
 from repro.cells.library import build_library
 from repro.characterization import characterize_library
 from repro.core import CellUsage, FullChipLeakageEstimator
-from repro.service import ServiceClient
-from repro.service.cache import TIER_CHARACTERIZATION, TIER_ESTIMATE, TIER_RG
+from repro.service import ServiceClient, create_server
+from repro.service.cache import (
+    TIER_CHARACTERIZATION,
+    TIER_ESTIMATE,
+    TIER_RG,
+    shard_of,
+)
 
 from .conftest import CELLS
 
@@ -55,6 +63,63 @@ class TestBitIdentical:
         assert warm.mean == cold.mean
         assert warm.std == cold.std
         assert warm.to_dict() == cold.to_dict()
+
+
+class TestSharedCacheDirectory:
+    """Thread mode verifies and shares its cache directory like process
+    mode does: one cache class, one on-disk layout."""
+
+    def test_corrupt_entry_is_quarantined_at_start_and_recomputed(
+            self, small_request, tmp_path):
+        with ServiceClient(workers=1, cache_dir=str(tmp_path)) as client:
+            assert client.cache_rebuild == {
+                "scanned": 0, "valid": 0, "quarantined": 0,
+                "stale_dropped": 0}
+            first = client.estimate(small_request, timeout=120.0)
+        key = small_request.key()
+        path = (tmp_path / f"shard-{shard_of(key):02d}" / TIER_ESTIMATE
+                / f"{key}.json")
+        document = json.loads(path.read_text())
+        document["payload"]["mean"] *= 2.0  # valid JSON, bad checksum
+        path.write_text(json.dumps(document))
+
+        with ServiceClient(workers=1, cache_dir=str(tmp_path)) as client:
+            assert client.cache_rebuild["quarantined"] == 1
+            assert client.cache_rebuild["valid"] >= 1  # characterization
+            assert not path.exists()
+            server = create_server(client, port=0)
+            thread = threading.Thread(target=server.serve_forever,
+                                      daemon=True)
+            thread.start()
+            try:
+                url = (f"http://127.0.0.1:{server.server_address[1]}"
+                       "/v1/healthz")
+                with urllib.request.urlopen(url, timeout=30.0) as response:
+                    health = json.loads(response.read())
+            finally:
+                server.shutdown()
+                server.server_close()
+                thread.join(timeout=5.0)
+            assert health["details"]["cache_rebuild"] == client.cache_rebuild
+            again = client.estimate(small_request, timeout=120.0)
+            stats = client.cache_stats()[TIER_ESTIMATE]
+        assert stats["disk_hits"] == 0 and stats["misses"] == 1
+        assert again.to_dict() == first.to_dict()
+
+    def test_two_clients_read_each_others_entries(self, small_request,
+                                                  tmp_path):
+        other = dataclasses.replace(small_request,
+                                    n_cells=small_request.n_cells + 100)
+        with ServiceClient(workers=1, cache_dir=str(tmp_path)) as left, \
+                ServiceClient(workers=1, cache_dir=str(tmp_path)) as right:
+            mine = left.estimate(small_request, timeout=120.0)
+            theirs = right.estimate(other, timeout=120.0)
+            assert right.estimate(small_request,
+                                  timeout=120.0).to_dict() == mine.to_dict()
+            assert left.estimate(other,
+                                 timeout=120.0).to_dict() == theirs.to_dict()
+            for client in (left, right):
+                assert client.cache_stats()[TIER_ESTIMATE]["disk_hits"] == 1
 
 
 class TestTieredReuse:

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import threading
+import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -167,6 +170,74 @@ class TestProcessModeFailures:
         for pid in pids:
             with pytest.raises(OSError):
                 os.kill(pid, 0)
+
+
+def _get(base, path):
+    try:
+        with urllib.request.urlopen(base + path, timeout=30.0) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+class TestProcessModeHealth:
+    def test_retired_pool_is_unhealthy_and_unready(self):
+        # No restart budget: one SIGKILL retires the only slot and the
+        # pool stops. Health must stop reporting the scheduler threads,
+        # which are still alive but can only fail every request.
+        client = ServiceClient(workers=1, worker_mode="process",
+                               process_pool=dict(POOL_OPTIONS,
+                                                 max_restarts=0))
+        server = create_server(client, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        try:
+            assert _get(base, "/v1/healthz")[0] == 200
+            (pid,) = [entry["pid"] for entry in client.worker_liveness()]
+            os.kill(pid, signal.SIGKILL)
+            assert _wait_for(lambda: client._process_pool.stopped)
+
+            status, health = _get(base, "/v1/healthz")
+            assert status == 503
+            assert health["status"] == "unhealthy"
+            assert health["workers"] == 0
+            status, ready = _get(base, "/v1/readyz")
+            assert status == 503
+            assert "no live workers" in ready["reasons"]
+            gauge = client.metrics.get("repro_workers_alive")
+            assert _wait_for(lambda: gauge.value() == 0.0)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
+            client.close()
+
+    def test_live_count_holds_steady_while_a_worker_respawns(self):
+        client = ServiceClient(workers=1, worker_mode="process",
+                               process_pool=dict(POOL_OPTIONS))
+        try:
+            (pid,) = [entry["pid"] for entry in client.worker_liveness()]
+            os.kill(pid, signal.SIGKILL)
+            counts = []
+
+            def respawned():
+                counts.append(client.scheduler.workers_alive)
+                return client._process_pool.restarts >= 1
+
+            assert _wait_for(respawned)
+            assert set(counts) == {1}
+        finally:
+            client.close()
 
 
 class TestShardedCacheRestart:
