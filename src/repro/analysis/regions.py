@@ -11,8 +11,9 @@ paper's eq. (17), restricted to site pairs spanning the two blocks.
 Because all blocks are congruent and the site grid is uniform, the
 covariance depends only on the *block offset*; each distinct offset is a
 cross-window lag sum with triangular lag counts — the cross-correlation
-of two boxcar windows — so the whole map costs O((bx*by) + offsets *
-block_sites), not O(n^2).
+of two boxcar windows — read off one correlation table over the whole
+chip's lags, so the whole map costs O(n + offsets * block_sites), not
+O(n^2).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.chip_model import FullChipModel
+from repro.core.lattice import SiteLattice
 from repro.core.random_gate import RandomGate
 from repro.core.rg_correlation import RGCorrelation
 from repro.exceptions import EstimationError
@@ -128,29 +130,20 @@ def region_leakage_map(
     means = np.full((block_rows, block_cols),
                     sites_per_block * random_gate.mean)
 
-    # Lag-count vectors for one pair of blocks at offset (dbx, dby):
-    # triangular windows centred at the offset in site units.
-    def lag_counts(n_sites: int, block_offset: int) -> np.ndarray:
-        center = block_offset * n_sites
-        lags = np.arange(center - (n_sites - 1), center + n_sites)
-        return lags, np.maximum(0, n_sites - np.abs(lags - center))
-
-    # Covariance per distinct block offset.
+    # All blocks are congruent, so a pair of blocks at offset (dbx, dby)
+    # sees one block's lag multiplicities centred on the offset: a
+    # window of the whole chip's lag table.
+    lattice = SiteLattice(chip.rows, chip.cols, chip.pitch_x, chip.pitch_y)
+    block = SiteLattice(sites_y, sites_x, chip.pitch_x, chip.pitch_y)
+    rho = lattice.rho(correlation)
     cov_by_offset = {}
     for dby in range(-(block_rows - 1), block_rows):
-        lags_y, counts_y = lag_counts(sites_y, dby)
-        y = lags_y * chip.pitch_y
         for dbx in range(-(block_cols - 1), block_cols):
-            lags_x, counts_x = lag_counts(sites_x, dbx)
-            x = lags_x * chip.pitch_x
-            cov = rg_correlation.covariance(
-                correlation.evaluate_xy(x[:, None], y[None, :]))
+            cov = rg_correlation.covariance(lattice.window(
+                rho, block, offset=(dbx * sites_x, dby * sites_y)))
             if dbx == 0 and dby == 0:
-                zero_x = sites_x - 1
-                zero_y = sites_y - 1
-                cov[zero_x, zero_y] = rg_correlation.same_site_covariance
-            weighted = counts_x[:, None] * counts_y[None, :] * cov
-            cov_by_offset[(dbx, dby)] = float(weighted.sum())
+                cov[block.zero_lag] = rg_correlation.same_site_covariance
+            cov_by_offset[(dbx, dby)] = float((block.counts * cov).sum())
 
     n_blocks = block_rows * block_cols
     covariance = np.empty((n_blocks, n_blocks))

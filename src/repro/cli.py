@@ -370,8 +370,6 @@ def _cmd_submit(args) -> int:
         usage=usage,
         signal_probability=args.signal_probability,
         method=args.method,
-        n_jobs=args.n_jobs,
-        tolerance=args.tolerance,
         cells=args.cell or None,
         technology=_technology_config_from_args(args),
         priority=args.priority,
@@ -768,8 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--method", default="auto",
                         choices=["auto", "linear", "integral2d", "polar",
                                  "exact"])
-    submit.add_argument("--n-jobs", type=int, default=1)
-    submit.add_argument("--tolerance", type=float, default=0.0)
     submit.add_argument("--priority", type=int, default=0,
                         help="scheduling priority (higher runs first)")
     submit.add_argument("--timeout", type=float, default=None,

@@ -17,10 +17,11 @@ import numpy as np
 from repro.characterization.characterizer import LibraryCharacterization
 from repro.characterization.vt import vt_mean_multiplier
 from repro.core.chip_model import FullChipModel
-from repro.core.estimators.exact import exact_moments
+from repro.core.estimators.fast_exact import sigma_lagsum_variance
 from repro.core.estimators.integral2d import integral2d_variance
 from repro.core.estimators.linear import linear_variance
 from repro.core.estimators.polar import polar_variance
+from repro.core.lattice import SiteLattice
 from repro.core.random_gate import RandomGate, expand_mixture
 from repro.core.rg_correlation import RGCorrelation
 from repro.core.usage import CellUsage
@@ -47,13 +48,10 @@ def resolve_auto_method(n_sites: int) -> str:
     eq. (20) integral — above that, where the integral's granularity
     error is negligible (Fig. 7). ``"polar"`` and ``"exact"`` are never
     chosen automatically: the former is an accuracy/speed study variant,
-    and the latter is the pairwise cross-check engine (whose *own*
-    ``method="auto"`` sub-rule is documented at
-    :func:`repro.core.estimators.exact.exact_moments` — dense at
-    ``tolerance=0, n_jobs=1`` with no grid hint for bit compatibility,
-    otherwise lag deduplication on lattices, spatial pruning for
-    scattered placements whose correlation truncation radius is under
-    half the die extent, dense as the fallback).
+    and the latter is the pairwise cross-check engine (on the site grid
+    always its FFT lag sum; the placed-design engine in
+    :mod:`repro.core.estimators.exact` documents its own
+    ``method="auto"`` sub-rule).
     """
     return "linear" if n_sites <= AUTO_LINEAR_LIMIT else "integral2d"
 
@@ -303,17 +301,16 @@ class FullChipLeakageEstimator:
         self.rg_correlation = components.rg_correlation
         self._vt_multiplier = components.vt_multiplier
 
-    def estimate(self, method: str = "auto", *, n_jobs: int = 1,
-                 tolerance: float = 0.0, trace: bool = False,
+    def estimate(self, method: str = "auto", *, trace: bool = False,
                  thermal=None) -> LeakageEstimate:
         """Estimate full-chip leakage mean and standard deviation.
 
         ``method`` is one of ``"auto"``, ``"linear"``, ``"integral2d"``,
-        ``"polar"``, or ``"exact"`` — the last runs the placed-site
-        pairwise engine (lag-deduplicated on the RG grid; see
-        :func:`repro.core.estimators.exact_moments`) and serves as an
-        independent cross-check of the eq. (17) transform. ``n_jobs``
-        and ``tolerance`` are forwarded to that engine.
+        ``"polar"``, or ``"exact"`` — the last runs the pairwise
+        engine's FFT lag sum over the per-site sigma grid
+        (:func:`repro.core.estimators.fast_exact.sigma_lagsum_variance`)
+        and serves as an independent cross-check of the eq. (17)
+        transform.
 
         ``"auto"`` resolves through :func:`resolve_auto_method`: the
         O(n) ``"linear"`` transform up to :data:`AUTO_LINEAR_LIMIT`
@@ -338,33 +335,25 @@ class FullChipLeakageEstimator:
         a fixed point whose diagnostics land in ``details["thermal"]``
         (``docs/THERMAL.md``).
         """
+        root = {}
         if thermal is not None:
-            from repro.thermal import ThermalConfig, solve_coupled
+            from repro.thermal import ThermalConfig
 
             thermal = ThermalConfig.from_dict(thermal)
-            if not trace:
-                return solve_coupled(self, method, thermal,
-                                     n_jobs=n_jobs, tolerance=tolerance)
-            tracer = Tracer("core/api.estimate")
-            with tracer:
-                with tracer.span("core/api.estimate", method=method,
-                                 thermal=True):
-                    result = solve_coupled(self, method, thermal,
-                                           n_jobs=n_jobs,
-                                           tolerance=tolerance)
-            return result.with_details(trace=tracer.export())
+            root["thermal"] = True
         if not trace:
-            return self._estimate(method, n_jobs=n_jobs,
-                                  tolerance=tolerance)
+            return self._estimate(method, thermal)
         tracer = Tracer("core/api.estimate")
         with tracer:
-            with tracer.span("core/api.estimate", method=method):
-                result = self._estimate(method, n_jobs=n_jobs,
-                                        tolerance=tolerance)
+            with tracer.span("core/api.estimate", method=method, **root):
+                result = self._estimate(method, thermal)
         return result.with_details(trace=tracer.export())
 
-    def _estimate(self, method: str, *, n_jobs: int,
-                  tolerance: float) -> LeakageEstimate:
+    def _estimate(self, method: str, thermal=None) -> LeakageEstimate:
+        if thermal is not None:
+            from repro.thermal import solve_coupled
+
+            return solve_coupled(self, method, thermal)
         chip = self.chip
         requested = method
         if method == "auto":
@@ -384,8 +373,7 @@ class FullChipLeakageEstimator:
                     chip.n_sites, chip.width, chip.height,
                     self.correlation, self.rg_correlation)
             elif method == "exact":
-                site_variance = self._exact_site_variance(
-                    n_jobs=n_jobs, tolerance=tolerance)
+                site_variance = self._exact_site_variance()
             else:
                 raise EstimationError(
                     f"unknown method {method!r}; choose auto, linear, "
@@ -398,15 +386,13 @@ class FullChipLeakageEstimator:
             extra["exact_engine"] = "lagsum"
         return self._package(method, site_variance, extra)
 
-    def _exact_site_variance(self, n_jobs: int = 1,
-                             tolerance: float = 0.0) -> float:
-        """Site-grid variance through the placed-design pairwise engine.
+    def _exact_site_variance(self) -> float:
+        """Site-grid variance through the pairwise engine's lag sum.
 
         Every site carries the Random Gate: the full RG sigma on the
         diagonal and the correlatable mean-of-stds off it — the eq. (11)
-        split that :func:`exact_moments` expresses via ``corr_stds``.
-        Only the simplified (``rho_leak = rho_L``) covariance has this
-        per-site product form, so the exact ``f_mn`` mode must go
+        split. Only the simplified (``rho_leak = rho_L``) covariance has
+        this per-site product form, so the exact ``f_mn`` mode must go
         through ``estimate("linear")`` instead.
         """
         if not self.rg_correlation.simplified:
@@ -416,25 +402,12 @@ class FullChipLeakageEstimator:
                 "model; use simplified_correlation=True or "
                 "method='linear'")
         chip = self.chip
-        n_sites = chip.n_sites
         rg = self.random_gate
-        with span("api.site_arrays", n_sites=n_sites):
-            positions = chip.site_positions()
-            site_means = np.full(n_sites, rg.mean)
-            site_stds = np.full(n_sites, rg.std)
-            site_corr_stds = np.full(n_sites, rg.mean_of_stds)
-        _, site_std = exact_moments(
-            positions,
-            site_means,
-            site_stds,
+        return sigma_lagsum_variance(
+            SiteLattice(chip.rows, chip.cols, chip.pitch_x, chip.pitch_y),
             self.correlation,
-            corr_stds=site_corr_stds,
-            method="lagsum",
-            grid=(chip.rows, chip.cols),
-            n_jobs=n_jobs,
-            tolerance=tolerance,
-        )
-        return site_std ** 2
+            np.full((chip.rows, chip.cols), rg.mean_of_stds),
+            chip.n_sites * (rg.std ** 2 - rg.mean_of_stds ** 2))
 
     def _package(self, method: str, site_variance: float,
                  extra: Optional[Dict[str, Any]] = None) -> LeakageEstimate:
@@ -485,7 +458,6 @@ def estimate_sweep(
     simplified_correlation: Optional[bool] = None,
     state_weights=None,
     n_jobs: int = 1,
-    tolerance: float = 0.0,
     trace: bool = False,
     thermal=None,
 ):
@@ -508,8 +480,7 @@ def estimate_sweep(
 
     ``FullChipLeakageEstimator(characterization, usage, n_cells, width,
     height, signal_probability=p, correlation=c,
-    simplified_correlation=..., state_weights=...).estimate(method,
-    tolerance=...)``
+    simplified_correlation=..., state_weights=...).estimate(method)``
 
     with that point's parameters substituted. The speedup comes only
     from *sharing* work across points, never from reformulating it: the
@@ -540,8 +511,8 @@ def estimate_sweep(
         signal_probability=signal_probability, method=method,
         correlation=correlation,
         simplified_correlation=simplified_correlation,
-        state_weights=state_weights, n_jobs=n_jobs, tolerance=tolerance,
-        trace=trace, thermal=thermal)
+        state_weights=state_weights, n_jobs=n_jobs, trace=trace,
+        thermal=thermal)
 
 
 # -- incremental (delta) estimation ----------------------------------------

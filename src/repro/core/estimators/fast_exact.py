@@ -40,7 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import lattice_rho
+from repro.core.lattice import SiteLattice
 from repro.exceptions import CorrelationError, EstimationError
 from repro.obs import span
 from repro.parallel import parallel_map, resolve_n_jobs
@@ -437,27 +437,25 @@ def pruned_variance(
 # Lag deduplication on a site lattice
 # ---------------------------------------------------------------------------
 
-def _lag_correlation(grid: GridInfo,
-                     correlation: SpatialCorrelation) -> np.ndarray:
-    """``rho`` at every lattice lag vector; shape
-    ``(2*rows - 1, 2*cols - 1)`` indexed ``[rows-1+di, cols-1+dj]``."""
-    with span("exact.lag_kernel", rows=grid.rows, cols=grid.cols):
-        dj = np.arange(-(grid.cols - 1), grid.cols) * grid.pitch_x
-        di = np.arange(-(grid.rows - 1), grid.rows) * grid.pitch_y
-        return lattice_rho(correlation, dj, di, dx_axis=1)
+def sigma_lagsum_variance(lattice: SiteLattice,
+                          correlation: SpatialCorrelation,
+                          sigma_grid: np.ndarray,
+                          diagonal: float) -> float:
+    """Simplified-model variance of a per-site ``(rows, cols)`` sigma grid.
 
-
-def _lag_crosscorr(spectrum_a: np.ndarray, spectrum_b: np.ndarray,
-                   rows: int, cols: int) -> np.ndarray:
-    """Cross-correlation ``sum_rc A[r, c] B[r+di, c+dj]`` for all lags,
-    from precomputed ``rfft2`` spectra padded to ``(2*rows, 2*cols)``.
-
-    Output is aligned with :func:`_lag_correlation`.
+    The pairwise sum ``sum_ab csig_a csig_b rho(d_ab)`` is the
+    lag-weighted autocorrelation of ``sigma_grid`` (eq. 16 generalized
+    to heterogeneous sigmas). ``diagonal`` is added as is: the
+    variance the sites carry beyond their correlatable sigmas
+    (``sum stds^2 - sum corr_stds^2``).
     """
-    circular = np.fft.irfft2(np.conj(spectrum_a) * spectrum_b,
-                             s=(2 * rows, 2 * cols))
-    rolled = np.roll(circular, (rows - 1, cols - 1), axis=(0, 1))
-    return rolled[: 2 * rows - 1, : 2 * cols - 1]
+    with span("exact.lag_kernel", rows=lattice.rows, cols=lattice.cols):
+        rho = lattice.rho(correlation)
+    with span("exact.fft", rows=lattice.rows, cols=lattice.cols):
+        spectrum = lattice.spectrum(sigma_grid)
+        auto = lattice.correlate(spectrum, spectrum)
+    with span("exact.reduce"):
+        return float((auto * rho).sum()) + diagonal
 
 
 def lagsum_variance(
@@ -472,49 +470,45 @@ def lagsum_variance(
 ) -> float:
     """Exact lag-deduplicated variance on a site lattice.
 
-    Simplified model: the pairwise sum is the lag-weighted
-    autocorrelation of the per-site sigma grid (eq. 16 generalized to
-    heterogeneous sigmas). Exact pair moments: gates are grouped by
-    their unique ``(a, h, k)`` fit; the per-lag pair multiplicities are
-    cross-correlations of the per-type occupancy grids, and each unique
-    cross moment is evaluated once per (type pair, lag). A positive
-    ``tolerance`` additionally truncates lags where the decaying
-    correlation part is below it (the floor part still sums exactly).
+    Simplified model: the per-gate sigmas are scattered onto the
+    lattice and summed by :func:`sigma_lagsum_variance`. Exact pair
+    moments: gates are grouped by their unique ``(a, h, k)`` fit; the
+    per-lag pair multiplicities are cross-correlations of the per-type
+    occupancy grids, and each unique cross moment is evaluated once per
+    (type pair, lag). A positive ``tolerance`` additionally truncates
+    lags where the decaying correlation part is below it (the floor
+    part still sums exactly).
     """
-    rows, cols = grid.rows, grid.cols
-    rho = _lag_correlation(grid, correlation)
-    shape = (2 * rows, 2 * cols)
+    lattice = SiteLattice(grid.rows, grid.cols, grid.pitch_x, grid.pitch_y)
+    shape = (grid.rows, grid.cols)
 
     if pair_params is None:
         with span("exact.sigma_grid"):
-            sigma_grid = np.zeros((rows, cols))
+            sigma_grid = np.zeros(shape)
             np.add.at(sigma_grid, (grid.row_index, grid.col_index),
                       corr_stds)
-        with span("exact.fft", shape=f"{shape[0]}x{shape[1]}"):
-            spectrum = np.fft.rfft2(sigma_grid, s=shape)
-            auto = _lag_crosscorr(spectrum, spectrum, rows, cols)
-        with span("exact.reduce"):
-            variance = float((auto * rho).sum())
-            variance += float((stds ** 2).sum() - (corr_stds ** 2).sum())
-            return variance
+        return sigma_lagsum_variance(
+            lattice, correlation, sigma_grid,
+            float((stds ** 2).sum() - (corr_stds ** 2).sum()))
 
     from repro.core.estimators.exact import _pair_cross_moment
 
+    with span("exact.lag_kernel", rows=grid.rows, cols=grid.cols):
+        rho = lattice.rho(correlation)
     a, h, k = pair_params
     params, type_of = np.unique(np.column_stack([a, h, k]), axis=0,
                                 return_inverse=True)
     n_types = params.shape[0]
     counts = np.bincount(type_of, minlength=n_types).astype(float)
     spectra = []
-    with span("exact.fft", n_types=n_types,
-              shape=f"{shape[0]}x{shape[1]}"):
+    with span("exact.fft", n_types=n_types, rows=grid.rows, cols=grid.cols):
         for t in range(n_types):
-            occupancy = np.zeros((rows, cols))
+            occupancy = np.zeros(shape)
             members = type_of == t
             np.add.at(
                 occupancy,
                 (grid.row_index[members], grid.col_index[members]), 1.0)
-            spectra.append(np.fft.rfft2(occupancy, s=shape))
+            spectra.append(lattice.spectrum(occupancy))
 
     floor, _ = floor_split(correlation)
     active = (rho - floor) > tolerance if tolerance > 0 else None
@@ -527,7 +521,7 @@ def lagsum_variance(
                 au, hu, ku = params[u]
                 weight = 1.0 if u == t else 2.0
                 multiplicity = np.rint(
-                    _lag_crosscorr(spectra[t], spectra[u], rows, cols))
+                    lattice.correlate(spectra[t], spectra[u]))
                 if active is None:
                     cross = _pair_cross_moment(at, ht, kt, au, hu, ku,
                                                rho)

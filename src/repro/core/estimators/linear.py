@@ -13,100 +13,46 @@ relative to eq. (15) on a grid.
 
 The transform splits cleanly into a *geometry* half and a *parameter*
 half: the lag vectors and their multiplicities depend only on the
-placement grid, while the correlation kernel and the RG covariance
-mapping depend only on process/usage parameters. :class:`LagGeometry`
-holds the geometry half so parameter sweeps reuse it;
-:func:`linear_variance` composes both halves for a single point.
+placement grid (:class:`~repro.core.lattice.SiteLattice`), while the
+correlation kernel and the RG covariance mapping depend only on
+process/usage parameters. :func:`variance_from_rho` is the parameter
+half, so sweeps reuse one lattice and one lag table across many
+points; :func:`linear_variance` composes both halves for a single
+point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import lag_reduce, lattice_rho
+from repro.core.kernels import lag_reduce
+from repro.core.lattice import SiteLattice
 from repro.core.rg_correlation import RGCorrelation
 from repro.exceptions import EstimationError
 from repro.obs import span
 from repro.process.correlation import SpatialCorrelation
 
 
-class LagGeometry:
-    """Geometry-only half of the eq. (17) lag transform.
+def variance_from_rho(lattice: SiteLattice, rho: np.ndarray,
+                      rg_correlation: RGCorrelation) -> float:
+    """Complete eq. (17) from a (possibly cached) lag correlation table.
 
-    Precomputes, for a ``rows x cols`` site grid, the distance-vector
-    (lag) coordinate arrays and the multiplicity table
-    ``n_ij = (cols - |i|) * (rows - |j|)`` — everything in the transform
-    that depends only on the placement. The parameter-dependent half
-    enters through :meth:`rho` (the correlation kernel at the lags) and
-    :meth:`variance_from_rho` (the RG covariance mapping and the final
-    weighted sum), so a sweep over correlation or usage parameters pays
-    for the geometry once.
-
-    ``variance_from_rho(rho(c), rg)`` is, by construction, the exact
-    sequence of array operations :func:`linear_variance` historically
-    performed — sharing a cached ``rho`` across points is bit-identical
-    to recomputing it, because the kernel evaluation is a pure function
-    of the lag coordinates.
+    ``rho`` is never mutated (the covariance mapping allocates), so one
+    cached table may serve many RG correlation models. The mapping +
+    weighted reduction run in the fused ``lag_reduce`` kernel; the
+    zero-lag entry is the n self-pairs and gets the full RG variance
+    (eq. 11).
     """
-
-    def __init__(self, rows: int, cols: int, pitch_x: float,
-                 pitch_y: float) -> None:
-        if rows <= 0 or cols <= 0:
-            raise EstimationError("grid dimensions must be positive")
-        if pitch_x <= 0 or pitch_y <= 0:
-            raise EstimationError("site pitches must be positive")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.pitch_x = float(pitch_x)
-        self.pitch_y = float(pitch_y)
-        with span("linear.geometry", rows=self.rows, cols=self.cols):
-            i = np.arange(-(cols - 1), cols)
-            j = np.arange(-(rows - 1), rows)
-            count_x = cols - np.abs(i)
-            count_y = rows - np.abs(j)
-            #: Lag displacement components [m]; (2m-1,) and (2k-1,).
-            self.x = i * pitch_x
-            self.y = j * pitch_y
-            #: Pair multiplicities n_ij (eq. 16); (2m-1) x (2k-1).
-            self.counts = count_x[:, None] * count_y[None, :]
-            #: Index of the (0, 0) lag — the n self-pairs.
-            self.zero_lag = (cols - 1, rows - 1)
-
-    @property
-    def n_lags(self) -> int:
-        """Number of distinct lag vectors, ``(2m-1)(2k-1)``."""
-        return self.counts.size
-
-    def rho(self, correlation: SpatialCorrelation) -> np.ndarray:
-        """``rho_L`` at every lag — the correlation half of eq. (17).
-
-        Recognised exponential/Gaussian families evaluate their formula
-        directly; other models go through ``evaluate_xy``, which keeps
-        anisotropic correlation models exact.
-        """
-        with span("linear.kernel", n_lags=self.n_lags):
-            return lattice_rho(correlation, self.x, self.y)
-
-    def variance_from_rho(self, rho: np.ndarray,
-                          rg_correlation: RGCorrelation) -> float:
-        """Complete eq. (17) from a (possibly cached) lag correlation.
-
-        ``rho`` is never mutated (the covariance mapping allocates), so
-        one cached array may serve many RG correlation models. The
-        mapping + weighted reduction run in the fused ``lag_reduce``
-        kernel; the zero-lag entry is the n self-pairs and gets the full
-        RG variance (eq. 11).
-        """
-        rho = np.asarray(rho, dtype=float)
-        if np.any(np.abs(rho) > 1.0 + 1e-12):
-            raise EstimationError("length correlation must lie in [-1, 1]")
-        with span("linear.reduce"):
-            return lag_reduce(
-                self.counts, rho, self.zero_lag,
-                rg_correlation.same_site_covariance,
-                rg_correlation.covariance_scale,
-                rg_correlation.covariance_grid,
-                rg_correlation.covariance_values)
+    rho = np.asarray(rho, dtype=float)
+    if np.any(np.abs(rho) > 1.0 + 1e-12):
+        raise EstimationError("length correlation must lie in [-1, 1]")
+    with span("linear.reduce"):
+        return lag_reduce(
+            lattice.counts, rho, lattice.zero_lag,
+            rg_correlation.same_site_covariance,
+            rg_correlation.covariance_scale,
+            rg_correlation.covariance_grid,
+            rg_correlation.covariance_values)
 
 
 def linear_variance(
@@ -130,6 +76,7 @@ def linear_variance(
     rg_correlation:
         The RG covariance structure.
     """
-    geometry = LagGeometry(rows, cols, pitch_x, pitch_y)
-    return geometry.variance_from_rho(geometry.rho(correlation),
-                                      rg_correlation)
+    lattice = SiteLattice(rows, cols, pitch_x, pitch_y)
+    with span("linear.kernel", n_lags=lattice.counts.size):
+        rho = lattice.rho(correlation)
+    return variance_from_rho(lattice, rho, rg_correlation)

@@ -12,9 +12,10 @@ The hot math of every estimator lives here as plain numpy functions:
   it, so their entries agree bit for bit;
 * :func:`contract_grid` — the terminal ``alphas @ M_g @ alphas -
   mu_tot**2`` contraction of the eq. (9) covariance;
-* :func:`lattice_rho` — the correlation at every lattice lag, with
-  the exponential/Gaussian (+ D2D floor) families evaluated directly
-  and any other model through its own ``evaluate_xy``;
+* :func:`lattice_rho` — the correlation at every lattice lag (the
+  lag table of :class:`~repro.core.lattice.SiteLattice`), with the
+  exponential/Gaussian (+ D2D floor) families evaluated directly and
+  any other model through its own ``evaluate_xy``;
 * :func:`lag_reduce` — the fused covariance mapping and
   multiplicity-weighted lag sum of eq. (17).
 
@@ -177,30 +178,24 @@ def lattice_family(correlation) -> Optional[Tuple[float, float, float,
 
 
 def lattice_rho(correlation, dx: np.ndarray, dy: np.ndarray,
-                dx_axis: int = 0,
                 distance: Optional[np.ndarray] = None) -> np.ndarray:
-    """Correlation at every lattice lag ``(dx_i, dy_j)``.
+    """Correlation at every lattice lag ``(dx_i, dy_j)``, x on axis 0.
 
-    ``dx``/``dy`` are the 1-D physical x/y lag arrays; ``dx_axis`` says
-    which output axis the x lags vary along (the linear estimator puts
-    them on axis 0, the lagsum estimator on axis 1). ``distance`` is an
-    optional precomputed ``hypot`` grid in the output layout, shared by
-    callers that evaluate many recognised kernels on one lattice.
-    Recognised families (:func:`lattice_family`) evaluate their formula
-    on the distance grid; other models (e.g. anisotropic) go through
-    their own ``evaluate_xy`` with the axes mapped correctly.
+    ``dx``/``dy`` are the 1-D physical x/y lag arrays. ``distance`` is
+    an optional precomputed ``hypot`` grid, shared by callers that
+    evaluate many recognised kernels on one lattice. Recognised
+    families (:func:`lattice_family`) evaluate their formula on the
+    distance grid; other models (e.g. anisotropic) go through their own
+    ``evaluate_xy``.
     """
     dx = np.asarray(dx, dtype=float)
     dy = np.asarray(dy, dtype=float)
     family = lattice_family(correlation)
     if family is None:
-        if dx_axis == 0:
-            return correlation.evaluate_xy(dx[:, None], dy[None, :])
-        return correlation.evaluate_xy(dx[None, :], dy[:, None])
+        return correlation.evaluate_xy(dx[:, None], dy[None, :])
     length, floor, scale, gaussian = family
     if distance is None:
-        first, second = (dx, dy) if dx_axis == 0 else (dy, dx)
-        distance = np.hypot(first[:, None], second[None, :])
+        distance = np.hypot(dx[:, None], dy[None, :])
     if gaussian:
         base = np.exp(-((distance / length) ** 2))
     else:

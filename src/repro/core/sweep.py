@@ -7,7 +7,7 @@ nearby scenarios. A naive loop re-derives everything per point; this
 module exploits the structural separation of eq. (17):
 
 * the **lag histogram of the placement is geometry-only** — the lag
-  vectors and their multiplicities (:class:`~repro.core.estimators.linear.LagGeometry`)
+  vectors and their multiplicities (:class:`~repro.core.lattice.SiteLattice`)
   are computed once per distinct ``(n, W, H)`` and shared by every
   parameter point on that floorplan;
 * the correlation kernel at the lags, ``rho_L``, depends only on the
@@ -61,8 +61,9 @@ from repro.core.api import (
     resolve_auto_method,
 )
 from repro.core.chip_model import FullChipModel
-from repro.core.estimators.linear import LagGeometry
-from repro.core.kernels import lattice_family, lattice_rho
+from repro.core.estimators.linear import variance_from_rho
+from repro.core.kernels import lattice_family
+from repro.core.lattice import SiteLattice
 from repro.core.usage import CellUsage
 from repro.exceptions import EstimationError
 from repro.obs import Tracer, span
@@ -337,7 +338,6 @@ class _SweepSpec:
     method: str
     simplified_correlation: Optional[bool]
     state_weights: Any
-    tolerance: float
 
 
 def _correlation_key(correlation: SpatialCorrelation) -> Tuple[Any, ...]:
@@ -378,7 +378,7 @@ def _usage_key(usage: CellUsage) -> Tuple[Any, ...]:
     return (usage.names, usage.fractions.tobytes())
 
 
-def _batched_lag_rho(geometry: LagGeometry,
+def _batched_lag_rho(lattice: SiteLattice,
                      correlations: Mapping[Tuple[Any, ...],
                                            SpatialCorrelation],
                      stats: Dict[str, int]) -> Dict[Tuple[Any, ...],
@@ -389,16 +389,15 @@ def _batched_lag_rho(geometry: LagGeometry,
     scaled) share one distance grid across the whole batch and apply
     each point's parameters elementwise; other models evaluate through
     their own ``evaluate_xy``. Every returned array is bit-identical to
-    ``geometry.rho(correlation)``.
+    ``lattice.rho(correlation)``.
     """
     distance = None
     if any(lattice_family(corr) is not None
            for corr in correlations.values()):
-        distance = np.hypot(geometry.x[:, None], geometry.y[None, :])
+        distance = lattice.distance()
     stats["rho_kernel_evaluations"] = \
         stats.get("rho_kernel_evaluations", 0) + len(correlations)
-    return {key: lattice_rho(corr, geometry.x, geometry.y,
-                             distance=distance)
+    return {key: lattice.rho(corr, distance=distance)
             for key, corr in correlations.items()}
 
 
@@ -511,7 +510,7 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
     """
     stats: Dict[str, int] = {"points": len(indices)}
     chip_cache: Dict[Tuple[Any, ...], FullChipModel] = {}
-    geometry_cache: Dict[Tuple[Any, ...], LagGeometry] = {}
+    geometry_cache: Dict[Tuple[Any, ...], SiteLattice] = {}
     components_cache: Dict[Tuple[Any, ...], RGComponents] = {}
     rho_cache: Dict[Tuple[Any, ...], np.ndarray] = {}
     # Cross-moment tables for the delta path: points that differ only
@@ -546,9 +545,9 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
     # correlation models its points use.
     with span("sweep.kernels", n_geometries=len(rho_needs)):
         for geometry_key, correlations in rho_needs.items():
-            geometry = LagGeometry(*geometry_key)
-            geometry_cache[geometry_key] = geometry
-            for corr_key, rho in _batched_lag_rho(geometry, correlations,
+            lattice = SiteLattice(*geometry_key)
+            geometry_cache[geometry_key] = lattice
+            for corr_key, rho in _batched_lag_rho(lattice, correlations,
                                                   stats).items():
                 rho_cache[(geometry_key, corr_key)] = rho
 
@@ -580,19 +579,18 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
                 # through the thermal layer's per-characterization
                 # cache.
                 estimates.append(estimator.estimate(
-                    spec.method, tolerance=spec.tolerance,
-                    thermal=thermal))
+                    spec.method, thermal=thermal))
                 stats["thermal_points"] = \
                     stats.get("thermal_points", 0) + 1
                 continue
             if method == "linear":
                 geometry_key = (chip.rows, chip.cols, chip.pitch_x,
                                 chip.pitch_y)
-                geometry = geometry_cache[geometry_key]
                 rho = rho_cache[(geometry_key,
                                  _correlation_key(correlation))]
-                site_variance = geometry.variance_from_rho(
-                    rho, estimator.rg_correlation)
+                site_variance = variance_from_rho(
+                    geometry_cache[geometry_key], rho,
+                    estimator.rg_correlation)
                 # Same packaging as estimate(): details carry the
                 # concrete method plus what was requested before "auto"
                 # resolution.
@@ -600,8 +598,7 @@ def _evaluate_points(spec: _SweepSpec, indices: Sequence[int]
                     "linear", site_variance,
                     {"requested_method": spec.method}))
             else:
-                estimates.append(estimator.estimate(
-                    spec.method, tolerance=spec.tolerance))
+                estimates.append(estimator.estimate(spec.method))
     stats["geometries"] = len(geometry_cache)
     stats["chip_models"] = len(chip_cache)
     return estimates, stats
@@ -628,7 +625,6 @@ def run_sweep(
     simplified_correlation: Optional[bool] = None,
     state_weights=None,
     n_jobs: int = 1,
-    tolerance: float = 0.0,
     trace: bool = False,
     thermal=None,
 ) -> SweepResult:
@@ -678,8 +674,7 @@ def run_sweep(
 
     spec = _SweepSpec(configs=tuple(configs), method=method,
                       simplified_correlation=simplified_correlation,
-                      state_weights=state_weights,
-                      tolerance=float(tolerance))
+                      state_weights=state_weights)
 
     tracer = Tracer("core/api.estimate_sweep") if trace else None
     if tracer is not None:

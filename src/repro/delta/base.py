@@ -31,7 +31,7 @@ floorplan raise :class:`~repro.exceptions.DeltaIncompatibleError`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -43,8 +43,8 @@ from repro.core.api import (
     resolve_auto_method,
 )
 from repro.core.chip_model import FullChipModel
-from repro.core.estimators.linear import LagGeometry
 from repro.core.kernels import pair_params_from_fits
+from repro.core.lattice import SiteLattice
 from repro.delta.moments import quadratic_products
 from repro.exceptions import DeltaIncompatibleError, EstimationError
 from repro.obs import span
@@ -80,6 +80,14 @@ def _rho_sum(rho: np.ndarray, counts: np.ndarray, zero_lag) -> float:
     masked = np.asarray(rho, dtype=float).copy()
     masked[zero_lag] = 0.0
     return float(np.sum(counts * masked))
+
+
+def _lag_ledger(lattice: SiteLattice, rho: np.ndarray, grid):
+    """``(w, s_rho)`` of a lag table: the exact-mode hat weights on the
+    covariance ``grid``, or the simplified-mode (``grid=None``) rho sum."""
+    if grid is None:
+        return None, _rho_sum(rho, lattice.counts, lattice.zero_lag)
+    return _interp_weights(grid, rho, lattice.counts, lattice.zero_lag), None
 
 
 @dataclass
@@ -208,16 +216,10 @@ class BaseEstimate:
                 vq, u, _, _ = quadratic_products(a, h, k, grid, alphas)
 
         with span("delta.base_geometry"):
-            geometry = LagGeometry(chip.rows, chip.cols, chip.pitch_x,
-                                   chip.pitch_y)
-            rho = geometry.rho(estimator.correlation)
-            if simplified:
-                w, s_rho = None, _rho_sum(rho, geometry.counts,
-                                          geometry.zero_lag)
-            else:
-                w = _interp_weights(grid, rho, geometry.counts,
-                                    geometry.zero_lag)
-                s_rho = None
+            lattice = SiteLattice(chip.rows, chip.cols, chip.pitch_x,
+                                  chip.pitch_y)
+            rho = lattice.rho(estimator.correlation)
+            w, s_rho = _lag_ledger(lattice, rho, grid)
 
         return cls(
             chip=chip, estimate=estimate,
@@ -285,6 +287,12 @@ class BaseEstimate:
         def arr(value):
             return None if value is None else np.asarray(value, dtype=float)
 
+        unknown = set(document) - {f.name for f in fields(cls)} \
+            - {"schema_version"}
+        if unknown:
+            raise EstimationError(
+                f"not a serialized BaseEstimate: unknown fields "
+                f"{sorted(unknown)}")
         try:
             version = int(document.get("schema_version", 0))
             if version != BASE_SCHEMA_VERSION:

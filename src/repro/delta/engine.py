@@ -45,12 +45,11 @@ import numpy as np
 
 from repro.core.api import LeakageEstimate, _json_scalar, resolve_auto_method
 from repro.core.chip_model import FullChipModel
-from repro.core.estimators.linear import LagGeometry
 from repro.core.kernels import pair_params_from_fits
+from repro.core.lattice import SiteLattice
 from repro.delta.base import (
     BaseEstimate,
-    _interp_weights,
-    _rho_sum,
+    _lag_ledger,
     cell_components,
 )
 from repro.delta.edits import (
@@ -152,27 +151,21 @@ def _geometry_ledger(base: BaseEstimate, chip: FullChipModel,
                      ledger: Dict[str, Any]):
     """Lag correlation + occupancy ledger for a (possibly new) floorplan.
 
-    Returns ``(geometry, rho, w, s_rho)``. Reuses the base's kernel
-    values when the site pitch is unchanged and the new lag range fits
-    inside the old one (a center crop — bit-identical, the kernel is a
-    pure function of lag coordinates); otherwise re-evaluates the
-    kernel, which needs the base's live correlation reference.
+    Returns ``(w, s_rho)``. Reuses the base's kernel values when
+    the site pitch is unchanged and the new lag range fits inside the
+    old one (a center window — bit-identical, the kernel is a pure
+    function of lag coordinates); otherwise re-evaluates the kernel,
+    which needs the base's live correlation reference.
     """
-    geometry = LagGeometry(chip.rows, chip.cols, chip.pitch_x, chip.pitch_y)
+    lattice = SiteLattice(chip.rows, chip.cols, chip.pitch_x, chip.pitch_y)
     base_chip = base.chip
     same_pitch = (chip.pitch_x == base_chip.pitch_x
                   and chip.pitch_y == base_chip.pitch_y)
-    if (chip.rows, chip.cols) == (base_chip.rows, base_chip.cols) \
-            and same_pitch:
-        rho = base.rho
-        ledger["lags_reused"] = int(rho.size)
-        ledger["lags_recomputed"] = 0
-    elif (same_pitch and chip.cols <= base_chip.cols
+    if (same_pitch and chip.cols <= base_chip.cols
             and chip.rows <= base_chip.rows):
-        dc = base_chip.cols - chip.cols
-        dr = base_chip.rows - chip.rows
-        rho = base.rho[dc:dc + 2 * chip.cols - 1,
-                       dr:dr + 2 * chip.rows - 1]
+        base_lattice = SiteLattice(base_chip.rows, base_chip.cols,
+                                   base_chip.pitch_x, base_chip.pitch_y)
+        rho = base_lattice.window(base.rho, lattice)
         ledger["lags_reused"] = int(rho.size)
         ledger["lags_recomputed"] = 0
     else:
@@ -181,14 +174,10 @@ def _geometry_ledger(base: BaseEstimate, chip: FullChipModel,
                 "floorplan edit changes the site pitch and the base has "
                 "no correlation model attached to re-evaluate the "
                 "kernel")
-        rho = geometry.rho(base.correlation)
+        rho = lattice.rho(base.correlation)
         ledger["lags_reused"] = 0
         ledger["lags_recomputed"] = int(rho.size)
-    if base.simplified:
-        return geometry, rho, None, _rho_sum(rho, geometry.counts,
-                                             geometry.zero_lag)
-    return geometry, rho, _interp_weights(base.grid, rho, geometry.counts,
-                                          geometry.zero_lag), None
+    return _lag_ledger(lattice, rho, base.grid)
 
 
 def _package(base: BaseEstimate, chip: FullChipModel, rg_mean: float,
@@ -272,7 +261,7 @@ def _estimate_delta(base: BaseEstimate, edits) -> LeakageEstimate:
                 f"edited chip has {chip.n_sites} sites, beyond the "
                 "linear-transform regime the delta engine rides")
         with span("delta.geometry"):
-            geometry, rho, w, s_rho = _geometry_ledger(base, chip, ledger)
+            w, s_rho = _geometry_ledger(base, chip, ledger)
     else:
         chip = base.chip
         w, s_rho = base.w, base.s_rho

@@ -33,6 +33,9 @@ REQUEST_SCHEMA_VERSION = 1
 
 _METHODS = ("auto", "linear", "integral2d", "polar", "exact")
 _MODES = ("analytical", "montecarlo")
+#: Retired request fields that :meth:`EstimateRequest.from_dict` still
+#: drops silently, for one release, so older clients keep working.
+_RETIRED_FIELDS = ("n_jobs", "tolerance")
 
 
 class QueueFullError(ServiceError):
@@ -156,12 +159,9 @@ class EstimateRequest:
         name-sorted tuple of pairs.
     signal_probability:
         Primary-input signal probability.
-    method / n_jobs / tolerance:
-        Estimator selection and knobs, forwarded to
-        :meth:`FullChipLeakageEstimator.estimate`. ``n_jobs`` is part of
-        the content hash: parallel reductions are deterministic but may
-        differ from serial ones in the last ulp, and the cache promises
-        bit-identical results for identical requests.
+    method:
+        Estimator selection, forwarded to
+        :meth:`FullChipLeakageEstimator.estimate`.
     mode:
         Characterization mode (``analytical`` or ``montecarlo``).
     technology:
@@ -199,12 +199,6 @@ class EstimateRequest:
         document lands in ``details["trace"]`` of the returned estimate
         and on the job snapshot (``GET /v1/jobs/<id>``); cached entries
         never store traces.
-    backend:
-        Legacy wire field, kept so older clients stay compatible: only
-        ``None`` or ``"numpy"`` (the one kernel implementation) is
-        accepted, and it never changes the result, so it is excluded
-        from the content hash. Any other value is a
-        :class:`~repro.exceptions.ConfigurationError`.
     """
 
     n_cells: int
@@ -213,8 +207,6 @@ class EstimateRequest:
     usage: Optional[Tuple[Tuple[str, float], ...]] = None
     signal_probability: float = 0.5
     method: str = "auto"
-    n_jobs: int = 1
-    tolerance: float = 0.0
     mode: str = "analytical"
     technology: TechnologyConfig = field(default_factory=TechnologyConfig)
     cells: Optional[Tuple[str, ...]] = None
@@ -223,7 +215,6 @@ class EstimateRequest:
     priority: int = 0
     allow_degraded: bool = True
     trace: bool = False
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if int(self.n_cells) < 1:
@@ -245,15 +236,6 @@ class EstimateRequest:
         if self.method not in _METHODS:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; choose one of {_METHODS}")
-        n_jobs = int(self.n_jobs)
-        if n_jobs != -1 and n_jobs < 1:
-            raise ConfigurationError(
-                f"n_jobs must be positive or -1, got {self.n_jobs!r}")
-        object.__setattr__(self, "n_jobs", n_jobs)
-        if self.tolerance < 0:
-            raise ConfigurationError(
-                f"tolerance must be non-negative, got {self.tolerance!r}")
-        object.__setattr__(self, "tolerance", float(self.tolerance))
         if self.mode not in _MODES:
             raise ConfigurationError(
                 f"unknown characterization mode {self.mode!r}")
@@ -310,17 +292,13 @@ class EstimateRequest:
         object.__setattr__(self, "priority", int(self.priority))
         object.__setattr__(self, "allow_degraded", bool(self.allow_degraded))
         object.__setattr__(self, "trace", bool(self.trace))
-        if self.backend not in (None, "numpy"):
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; only 'numpy' is "
-                "accepted")
 
     # -- canonicalization / content addressing ---------------------------
 
     def canonical_dict(self) -> Dict[str, Any]:
         """The content of the request — everything that determines the
-        result (``priority``, ``allow_degraded``, ``trace``, and
-        ``backend`` are excluded; see the field docs)."""
+        result (``priority``, ``allow_degraded`` and ``trace`` are
+        excluded; see the field docs)."""
         document = {
             "n_cells": self.n_cells,
             "width_mm": self.width_mm,
@@ -329,8 +307,6 @@ class EstimateRequest:
                       else [[name, fraction] for name, fraction in self.usage]),
             "signal_probability": self.signal_probability,
             "method": self.method,
-            "n_jobs": self.n_jobs,
-            "tolerance": self.tolerance,
             "mode": self.mode,
             "technology": self.technology.to_dict(),
             "cells": None if self.cells is None else list(self.cells),
@@ -388,7 +364,6 @@ class EstimateRequest:
         document["priority"] = self.priority
         document["allow_degraded"] = self.allow_degraded
         document["trace"] = self.trace
-        document["backend"] = self.backend
         return document
 
     @classmethod
@@ -396,12 +371,14 @@ class EstimateRequest:
         if not isinstance(document, Mapping):
             raise ConfigurationError(
                 f"request must be a JSON object, got {type(document).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(document) - known
+        # Older clients still send the retired estimator knobs; they
+        # never changed a site-grid result, so they are dropped.
+        data = {name: value for name, value in document.items()
+                if name not in _RETIRED_FIELDS}
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(
                 f"unknown request fields: {sorted(unknown)}")
-        data = dict(document)
         usage = data.get("usage")
         if usage is not None and not isinstance(usage, Mapping):
             data["usage"] = tuple((name, fraction) for name, fraction in usage)

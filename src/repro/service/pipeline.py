@@ -406,9 +406,7 @@ class EstimationPipeline:
                 with span("estimate", method=request.method,
                           n_cells=request.n_cells):
                     estimate = estimator.estimate(
-                        request.method, n_jobs=request.n_jobs,
-                        tolerance=request.tolerance,
-                        thermal=request.thermal)
+                        request.method, thermal=request.thermal)
                 if request.method == "exact":
                     self._note_exact_duration(
                         time.perf_counter() - stage_start)

@@ -3,8 +3,7 @@ supervision.
 
 Jobs are drained by a :class:`repro.parallel.ThreadWorkerPool` — threads
 rather than processes, because the estimator kernels are numpy-bound
-(GIL-releasing) and each job can still fan its inner block loops out
-over the shared-memory process pool via the request's ``n_jobs``.
+(GIL-releasing).
 
 Serving behaviors that live here:
 

@@ -11,11 +11,11 @@ network (the "fast concurrent power-thermal" decomposition):
   stack.
 
 Both are linear in the power map, so the whole operator is one
-zero-padded FFT convolution over the site lattice — the same machinery
-(and the same lattice kernel, :func:`~repro.core.kernels.lattice_rho`)
-the fast exact estimator uses for its lag transforms. Applying the
-operator is O(n log n) in the site count and is called once per
-fixed-point iteration.
+zero-padded FFT convolution over the site lattice — the lag table and
+convolution of :class:`~repro.core.lattice.SiteLattice`, the machinery
+the estimators use for their lag transforms. Applying the operator is
+O(n log n) in the site count and is called once per fixed-point
+iteration.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.kernels import lattice_rho
+from repro.core.lattice import SiteLattice
 from repro.obs import span
 from repro.process.correlation import ExponentialCorrelation
 from repro.thermal.config import ThermalConfig
@@ -52,8 +52,8 @@ class ThermalOperator:
     resistance in K/W, independent of grid resolution.
 
     The convolution is evaluated as a zero-padded (linear, not
-    circular) FFT product; the kernel table itself comes from the
-    estimators' ``lattice_rho`` lattice kernel.
+    circular) FFT product over the lattice's lag table, so ``d`` is the
+    true site distance for any pair of pitches.
     """
 
     def __init__(self, rows: int, cols: int, pitch_x: float,
@@ -63,19 +63,14 @@ class ThermalOperator:
         self.config = config
         self.package_resistance = float(config.package_resistance)
         self.spreading_resistance = float(config.spreading_resistance)
+        self._lattice = SiteLattice(rows, cols, pitch_x, pitch_y)
         self._kernel_spectrum: Optional[np.ndarray] = None
-        self._shape = (3 * self.rows - 2, 3 * self.cols - 2)
         if self.spreading_resistance > 0.0:
             with span("thermal.operator", rows=self.rows, cols=self.cols):
-                lag_x = np.arange(1 - self.rows, self.rows) * float(pitch_x)
-                lag_y = np.arange(1 - self.cols, self.cols) * float(pitch_y)
-                # exp(-d / lambda) over the full lag lattice, through the
-                # same kernel the estimators use for lattice rho tables.
-                table = lattice_rho(
-                    ExponentialCorrelation(float(config.spreading_length)),
-                    lag_x, lag_y)
+                table = self._lattice.rho(
+                    ExponentialCorrelation(float(config.spreading_length)))
                 kernel = (self.spreading_resistance / table.sum()) * table
-                self._kernel_spectrum = np.fft.rfft2(kernel, s=self._shape)
+                self._kernel_spectrum = self._lattice.table_spectrum(kernel)
 
     def apply(self, power: np.ndarray) -> np.ndarray:
         """Temperature rise [K] of the power map ``power`` [W/site].
@@ -91,14 +86,8 @@ class ThermalOperator:
         rise = np.broadcast_to(self.package_resistance * total,
                                power.shape).copy()
         if self._kernel_spectrum is not None:
-            spectrum = np.fft.rfft2(power, s=self._shape)
-            full = np.fft.irfft2(spectrum * self._kernel_spectrum,
-                                 s=self._shape)
-            # The kernel's zero lag sits at index (rows-1, cols-1), so
-            # the linear-convolution output for site (i, j) lands at
-            # (i + rows - 1, j + cols - 1) of the full product.
-            rise = rise + full[..., self.rows - 1:2 * self.rows - 1,
-                               self.cols - 1:2 * self.cols - 1]
+            rise = rise + self._lattice.convolve(self._kernel_spectrum,
+                                                 power)
         return rise
 
     @property

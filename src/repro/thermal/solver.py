@@ -10,8 +10,8 @@ point and packages the coupled chip moments:
 * **mean** — the per-site mean leakage at the converged temperature
   map, summed and rescaled exactly as the isothermal packaging step;
 * **std** — the heterogeneous-sigma lag transform
-  (:func:`repro.core.estimators.exact.exact_moments` with per-site
-  ``stds``/``corr_stds`` on the lattice) at the converged map, then
+  (:func:`repro.core.estimators.fast_exact.sigma_lagsum_variance` over
+  the per-site ``corr_stds`` grid) at the converged map, then
   amplified by the closed-loop factor ``1 / (1 - gamma)`` where
   ``gamma`` is the thermal feedback gain — a leakage fluctuation
   ``dX`` re-heats the die and returns ``gamma * dX`` of additional
@@ -39,7 +39,8 @@ from repro.core.api import (
     LeakageEstimate,
     _json_scalar,
 )
-from repro.core.estimators.exact import exact_moments
+from repro.core.estimators.fast_exact import sigma_lagsum_variance
+from repro.core.lattice import SiteLattice
 from repro.exceptions import EstimationError
 from repro.obs import span
 from repro.thermal.config import ThermalConfig
@@ -54,9 +55,7 @@ _COUPLED_METHODS = ("auto", "linear")
 
 
 def solve_coupled(estimator: FullChipLeakageEstimator, method: str,
-                  config: ThermalConfig, *,
-                  n_jobs: int = 1,
-                  tolerance: float = 0.0) -> LeakageEstimate:
+                  config: ThermalConfig) -> LeakageEstimate:
     """Run one coupled power–thermal estimate for ``estimator``.
 
     Called by :meth:`FullChipLeakageEstimator.estimate` when a
@@ -65,14 +64,13 @@ def solve_coupled(estimator: FullChipLeakageEstimator, method: str,
     """
     with span("thermal.solve", mode=config.mode,
               feedback=config.feedback):
-        return _solve(estimator, method, config,
-                      n_jobs=n_jobs, tolerance=tolerance)
+        return _solve(estimator, method, config)
 
 
 def _uniform_estimate(estimator: FullChipLeakageEstimator,
                       model: LeakageTemperatureModel, method: str,
-                      temperature: float, simplified: Optional[bool],
-                      n_jobs: int, tolerance: float) -> LeakageEstimate:
+                      temperature: float,
+                      simplified: Optional[bool]) -> LeakageEstimate:
     """The isothermal estimate at a uniform junction ``temperature``.
 
     Re-characterizes at that temperature (through the model's cache)
@@ -88,12 +86,11 @@ def _uniform_estimate(estimator: FullChipLeakageEstimator,
         correlation=estimator.correlation,
         simplified_correlation=simplified,
         state_weights=estimator.state_weights)
-    return iso._estimate(method, n_jobs=n_jobs, tolerance=tolerance)
+    return iso._estimate(method)
 
 
 def _solve(estimator: FullChipLeakageEstimator, method: str,
-           config: ThermalConfig, *, n_jobs: int,
-           tolerance: float) -> LeakageEstimate:
+           config: ThermalConfig) -> LeakageEstimate:
     technology = estimator.characterization.technology
     ambient = config.resolve_ambient(technology)
     if not ambient > 0.0:
@@ -113,7 +110,7 @@ def _solve(estimator: FullChipLeakageEstimator, method: str,
         # result is bit-identical to temperature_sweep / estimate().
         estimate = _uniform_estimate(
             estimator, model, method, ambient,
-            estimator.rg_correlation.simplified, n_jobs, tolerance)
+            estimator.rg_correlation.simplified)
         return estimate.with_details(thermal=_diagnostics(
             config, ambient, iterations=0, residuals=[],
             converged=True, gain=0.0, t_map=None,
@@ -197,8 +194,7 @@ def _solve(estimator: FullChipLeakageEstimator, method: str,
             # the isothermal run is forced simplified for consistency.
             thermal_details["variance_engine"] = "uniform"
             estimate = _uniform_estimate(
-                estimator, model, method, float(t_map.flat[0]), True,
-                n_jobs, tolerance)
+                estimator, model, method, float(t_map.flat[0]), True)
             if gain > 0.0:
                 amplification = 1.0 / (1.0 - gain)
                 estimate = estimate.with_details(site_variance=float(
@@ -214,7 +210,7 @@ def _solve(estimator: FullChipLeakageEstimator, method: str,
         thermal_details["variance_engine"] = "sigma_lagsum"
         return _package_coupled(
             estimator, method, t_map, means, stds, corr_stds, vts, gain,
-            thermal_details, n_jobs, tolerance)
+            thermal_details)
 
 
 def _feedback_gain(model: LeakageTemperatureModel, theta: ThermalOperator,
@@ -247,26 +243,17 @@ def _package_coupled(estimator: FullChipLeakageEstimator, method: str,
                      t_map: np.ndarray, means: np.ndarray,
                      stds: np.ndarray, corr_stds: np.ndarray,
                      vts: np.ndarray, gain: float,
-                     thermal_details: Dict[str, Any],
-                     n_jobs: int, tolerance: float) -> LeakageEstimate:
+                     thermal_details: Dict[str, Any]) -> LeakageEstimate:
     """Chip moments from per-site RG moments on the converged map."""
     chip = estimator.chip
     site_scale = chip.n_cells / chip.n_sites
-    positions = chip.site_positions()
     means_flat = np.asarray(means, dtype=float).ravel()
-    _, site_std = exact_moments(
-        positions,
-        means_flat,
-        np.asarray(stds, dtype=float).ravel(),
-        estimator.correlation,
-        corr_stds=np.asarray(corr_stds, dtype=float).ravel(),
-        method="lagsum",
-        grid=(chip.rows, chip.cols),
-        n_jobs=n_jobs,
-        tolerance=tolerance,
-    )
+    variance = sigma_lagsum_variance(
+        SiteLattice(chip.rows, chip.cols, chip.pitch_x, chip.pitch_y),
+        estimator.correlation, corr_stds,
+        float((stds ** 2).sum() - (corr_stds ** 2).sum()))
     amplification = 1.0 / (1.0 - gain)
-    site_variance = float(site_std ** 2) * amplification ** 2
+    site_variance = variance * amplification ** 2
     mean = site_scale * float(means_flat.sum())
     std = math.sqrt(site_variance) * site_scale
     total = float(means_flat.sum())
@@ -279,7 +266,7 @@ def _package_coupled(estimator: FullChipLeakageEstimator, method: str,
         "rows": chip.rows,
         "cols": chip.cols,
         "rg_mean": float(means_flat.mean()),
-        "rg_std": float(np.asarray(stds, dtype=float).mean()),
+        "rg_std": float(stds.mean()),
         "site_variance": site_variance,
         "simplified_correlation": 1.0,
         "requested_method": method,

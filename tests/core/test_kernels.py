@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
-from repro.core.estimators.linear import LagGeometry
 from repro.core.kernels import lag_reduce, lattice_rho, rg_covariance_grid
+from repro.core.lattice import SiteLattice
 from repro.core.sweep import _batched_lag_rho, _correlation_key
 from repro.exceptions import MomentExistenceError
 from repro.process.correlation import (
@@ -163,47 +163,53 @@ def test_lattice_rho_bit_identical(gaussian, d2d_fraction, rng):
 
 
 def test_lattice_rho_axis_mapping_for_anisotropic_fallback():
-    """The fallback path must map x/y lags onto the correct axes in
-    both the linear (x on axis 0) and lagsum (x on axis 1) layouts."""
+    """The fallback path must map x lags onto axis 0 and y lags onto
+    axis 1 — the one lag layout of :class:`SiteLattice`."""
     correlation = AnisotropicCorrelation(
         ExponentialCorrelation(0.5e-3), scale_x=2.0, scale_y=0.5)
     x = np.linspace(-1e-3, 1e-3, 7)
     y = np.linspace(-2e-3, 2e-3, 5)
-    linear_layout = lattice_rho(correlation, x, y, dx_axis=0)
-    assert linear_layout.shape == (7, 5)
-    assert np.array_equal(linear_layout,
+    layout = lattice_rho(correlation, x, y)
+    assert layout.shape == (7, 5)
+    assert np.array_equal(layout,
                           correlation.evaluate_xy(x[:, None], y[None, :]))
-    lagsum_layout = lattice_rho(correlation, x, y, dx_axis=1)
-    assert lagsum_layout.shape == (5, 7)
-    assert np.array_equal(lagsum_layout,
-                          correlation.evaluate_xy(x[None, :], y[:, None]))
+    lattice = SiteLattice(3, 4, 2.5e-4, 1e-3)
+    table = lattice.rho(correlation)
+    assert table.shape == (7, 5)
+    assert np.array_equal(table, correlation.evaluate_xy(
+        lattice.x[:, None], lattice.y[None, :]))
+    # One site to the right is the (+1, 0) lag: x on axis 0.
+    assert table[lattice.zero_lag[0] + 1, lattice.zero_lag[1]] == \
+        float(correlation.evaluate_xy(2.5e-4, 0.0))
 
 
 def test_lattice_rho_kernel_path_matches_model(technology):
     """The recognised-family path must equal evaluate_xy bit for bit
-    (same hypot/exp sequence) in both axis layouts."""
+    (same hypot/exp sequence), with and without a shared distance
+    grid."""
     correlation = technology.total_correlation
     x = np.linspace(-1e-3, 1e-3, 9)
     y = np.linspace(-5e-4, 5e-4, 11)
+    want = correlation.evaluate_xy(x[:, None], y[None, :])
+    assert np.array_equal(lattice_rho(correlation, x, y), want)
     assert np.array_equal(
-        lattice_rho(correlation, x, y, dx_axis=0),
-        correlation.evaluate_xy(x[:, None], y[None, :]))
-    assert np.array_equal(
-        lattice_rho(correlation, x, y, dx_axis=1),
-        correlation.evaluate_xy(x[None, :], y[:, None]))
+        lattice_rho(correlation, x, y,
+                    distance=np.hypot(x[:, None], y[None, :])), want)
 
 
 def test_geometry_rho_matches_evaluate_xy(technology):
-    geometry = LagGeometry(6, 8, 2e-6, 3e-6)
+    lattice = SiteLattice(6, 8, 2e-6, 3e-6)
     want = technology.total_correlation.evaluate_xy(
-        geometry.x[:, None], geometry.y[None, :])
-    assert np.array_equal(geometry.rho(technology.total_correlation), want)
+        lattice.x[:, None], lattice.y[None, :])
+    assert np.array_equal(lattice.rho(technology.total_correlation), want)
+    assert np.array_equal(lattice.rho(technology.total_correlation,
+                                      distance=lattice.distance()), want)
 
 
 def test_batched_lag_rho_matches_per_point_lattice_rho():
     """The sweep's shared-distance batch equals per-point evaluation
     bitwise for exponential, Gaussian and floored families."""
-    geometry = LagGeometry(9, 12, 2e-6, 3e-6)
+    lattice = SiteLattice(9, 12, 2e-6, 3e-6)
     families = {
         "exponential": [ExponentialCorrelation(length)
                         for length in (0.2e-3, 0.5e-3, 0.9e-3)],
@@ -216,8 +222,8 @@ def test_batched_lag_rho_matches_per_point_lattice_rho():
     for name, correlations in families.items():
         batch = {_correlation_key(c): c for c in correlations}
         stats = {}
-        got = _batched_lag_rho(geometry, batch, stats)
+        got = _batched_lag_rho(lattice, batch, stats)
         assert stats["rho_kernel_evaluations"] == len(correlations), name
         for key, correlation in batch.items():
-            want = lattice_rho(correlation, geometry.x, geometry.y)
+            want = lattice.rho(correlation)
             assert np.array_equal(got[key], want), name

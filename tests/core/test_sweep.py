@@ -10,12 +10,10 @@ compares with ``==``, never ``approx``.
 
 import itertools
 
-import numpy as np
 import pytest
 
 from repro.core import CellUsage, FullChipLeakageEstimator
 from repro.core.api import estimate_sweep
-from repro.core.estimators.linear import LagGeometry, linear_variance
 from repro.core.sweep import (
     SweepAxis,
     cell_count_axis,
@@ -265,42 +263,3 @@ class TestValidation:
                            match="both override config key"):
             estimate_sweep(small_characterization, usage, 1_000, 1e-3,
                            1e-3, axes=[lengths, split])
-
-
-class TestLagGeometry:
-    """The geometry/parameter split underlying the shared hot path."""
-
-    def test_matches_linear_variance(self, small_characterization, usage):
-        estimator = FullChipLeakageEstimator(
-            small_characterization, usage, 2_000, 0.8e-3, 0.8e-3)
-        chip = estimator.chip
-        correlation = \
-            small_characterization.technology.total_correlation
-        geometry = LagGeometry(chip.rows, chip.cols, chip.pitch_x,
-                               chip.pitch_y)
-        split = geometry.variance_from_rho(geometry.rho(correlation),
-                                           estimator.rg_correlation)
-        direct = linear_variance(chip.rows, chip.cols, chip.pitch_x,
-                                 chip.pitch_y, correlation,
-                                 estimator.rg_correlation)
-        assert split == direct
-
-    def test_cached_rho_not_mutated(self, small_characterization, usage):
-        estimator = FullChipLeakageEstimator(
-            small_characterization, usage, 1_000, 0.5e-3, 0.5e-3)
-        chip = estimator.chip
-        geometry = LagGeometry(chip.rows, chip.cols, chip.pitch_x,
-                               chip.pitch_y)
-        rho = geometry.rho(
-            small_characterization.technology.total_correlation)
-        snapshot = rho.copy()
-        first = geometry.variance_from_rho(rho, estimator.rg_correlation)
-        second = geometry.variance_from_rho(rho, estimator.rg_correlation)
-        assert first == second
-        assert np.array_equal(rho, snapshot)
-
-    def test_multiplicities_sum_to_pair_count(self):
-        geometry = LagGeometry(7, 11, 1e-5, 2e-5)
-        n = 7 * 11
-        assert int(geometry.counts.sum()) == n * n
-        assert int(geometry.counts[geometry.zero_lag]) == n

@@ -29,6 +29,7 @@ from repro.delta import (
     UsageHistogramEdit,
     estimate_delta,
 )
+from repro.exceptions import EstimationError
 from tests.test_goldens import check_golden
 
 N_CELLS = 4096
@@ -199,14 +200,12 @@ class TestRoundTrip:
         assert math.isclose(roundtrip.mean, original.mean, rel_tol=1e-12)
         assert math.isclose(roundtrip.std, original.std, rel_tol=1e-9)
 
-    def test_legacy_backend_key_is_accepted_and_no_longer_written(
-            self, base, small_characterization):
-        document = base.to_dict()
-        assert "backend" not in document
-        legacy = dict(document, backend="numpy")
-        restored = BaseEstimate.from_dict(
-            legacy, characterization=small_characterization)
-        assert restored.to_dict() == document
+    def test_unknown_artifact_key_is_rejected(self, base,
+                                              small_characterization):
+        document = dict(base.to_dict(), backend="numpy")
+        with pytest.raises(EstimationError, match="backend"):
+            BaseEstimate.from_dict(
+                document, characterization=small_characterization)
 
 
 class TestGoldenECO:

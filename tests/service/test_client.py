@@ -36,8 +36,7 @@ def direct_estimate(request):
         request.width_mm * 1e-3,
         request.height_mm * 1e-3,
         signal_probability=request.signal_probability)
-    return estimator.estimate(request.method, n_jobs=request.n_jobs,
-                              tolerance=request.tolerance)
+    return estimator.estimate(request.method)
 
 
 class TestBitIdentical:

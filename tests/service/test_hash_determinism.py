@@ -106,15 +106,13 @@ class TestNumpyScalars:
 class TestIrrelevantFields:
     def test_priority_trace_backend_excluded(self):
         plain = _estimate_request()
-        tweaked = _estimate_request(priority=7, trace=True,
-                                    backend="numpy")
+        tweaked = _estimate_request(priority=7, trace=True)
         assert tweaked.key() == plain.key()
-
-    def test_legacy_backend_values(self):
-        assert _estimate_request(backend=None).key() == \
-            _estimate_request(backend="numpy").key()
+        # The retired kernel-backend field is gone from the request.
+        assert "backend" not in plain.to_dict()
         with pytest.raises(ConfigurationError, match="backend"):
-            _estimate_request(backend="numba")
+            EstimateRequest.from_dict(dict(plain.to_dict(),
+                                           backend="numpy"))
 
     def test_whatif_priority_excluded(self):
         assert _whatif_request().key() == \

@@ -137,6 +137,23 @@ class TestMetricsScrape:
         assert "repro_queue_depth" in text
 
 
+    def test_retired_knobs_hit_the_same_cache_entry(self, server):
+        post(server, "/v1/estimate", ESTIMATE_BODY)
+        status, document = post(
+            server, "/v1/estimate",
+            dict(ESTIMATE_BODY, n_jobs=4, tolerance=1e-3))
+        assert status == 200
+        assert document["state"] == "done"
+        _, text = get(server, "/v1/metrics")
+        hit_lines = [
+            line for line in text.splitlines()
+            if line.startswith("repro_cache_requests_total")
+            and 'tier="estimate"' in line and 'result="hit"' in line
+        ]
+        assert hit_lines, "expected an estimate-tier cache hit sample"
+        assert float(hit_lines[0].rsplit(" ", 1)[1]) >= 1
+
+
 class TestReadiness:
     def test_readyz_ok_when_serving(self, server):
         status, body = get(server, "/v1/readyz")
@@ -274,18 +291,17 @@ class TestValidation:
         assert "surprise_field" in document["error"]
 
     def test_legacy_backend_field(self, server):
-        """``backend`` stays on the wire for one release: ``"numpy"``
-        is accepted, anything else is a typed 400."""
-        status, document = post(server, "/v1/estimate",
-                                dict(ESTIMATE_BODY, backend="numpy"))
-        assert status == 200
-        assert document["state"] == "done"
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            post(server, "/v1/estimate", dict(ESTIMATE_BODY, backend="numba"))
-        assert excinfo.value.code == 400
-        document = json.loads(excinfo.value.read())
-        assert document["kind"] == "bad_request"
-        assert "backend" in document["error"]
+        """The retired ``backend`` field is an unknown field now: any
+        value is a typed 400."""
+        for value in ("numpy", "numba"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(server, "/v1/estimate",
+                     dict(ESTIMATE_BODY, backend=value))
+            assert excinfo.value.code == 400
+            document = json.loads(excinfo.value.read())
+            assert document["kind"] == "bad_request"
+            assert "unknown request fields" in document["error"]
+            assert "backend" in document["error"]
 
     def test_oversized_body_is_400(self, server):
         padded = dict(ESTIMATE_BODY, usage={
