@@ -153,25 +153,29 @@ def characterize_library(
     names = library.names if cells is None else tuple(cells)
     rng = np.random.default_rng(1234) if rng is None else rng
 
+    if mode == ANALYTICAL:
+        lengths = sample_lengths(mu_l, sigma_l, fit_points)
+    elif mode != MONTECARLO:
+        raise CharacterizationError(f"unknown mode {mode!r}")
+
     table: Dict[str, CellCharacterization] = {}
     for name in names:
         cell = library[name]
+        if mode == ANALYTICAL:
+            # All states of the cell in one stacked DC solve.
+            leakages = state_leakage(
+                cell.netlist, [state.nodes for state in cell.states], model,
+                lengths, include_gate_leakage=include_gate_leakage)
         state_chars = []
-        for state in cell.states:
+        for k, state in enumerate(cell.states):
             if mode == ANALYTICAL:
-                lengths = sample_lengths(mu_l, sigma_l, fit_points)
-                leakages = state_leakage(
-                    cell.netlist, state.nodes, model, lengths,
-                    include_gate_leakage=include_gate_leakage)
-                fit = fit_leakage(lengths, leakages)
+                fit = fit_leakage(lengths, leakages[k])
                 mean, std = mgf_moments(fit.a, fit.b, fit.c, mu_l, sigma_l)
-            elif mode == MONTECARLO:
+            else:
                 fit = None
                 mean, std = mc_state_moments(
                     cell, state, model, n_samples=n_samples, rng=rng,
                     include_gate_leakage=include_gate_leakage)
-            else:
-                raise CharacterizationError(f"unknown mode {mode!r}")
             state_chars.append(StateCharacterization(
                 cell_name=name, state_label=state.label,
                 mean=mean, std=std, fit=fit))

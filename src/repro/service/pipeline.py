@@ -291,8 +291,8 @@ class EstimationPipeline:
     #: itself — ``/v1/jobs/<id>`` and ``details["trace"]``).
     SERVICE_STAGES = (
         "service.request", "service.sweep", "service.whatif", "queue_wait",
-        "cache_lookup", "characterize", "rg", "estimate", "degraded",
-        "serialize", "sweep.point",
+        "cache_lookup", "characterize", "spice.solve", "rg", "estimate",
+        "degraded", "serialize", "sweep.point",
         # Delta-path stages (the what-if protocol): base snapshotting
         # and the incremental update halves.
         "delta.base_estimate", "delta.base_mixture", "delta.base_moments",

@@ -4,7 +4,8 @@ This package stands in for the commercial SPICE + 90 nm PDK used in the
 paper's cell characterization: cells are transistor netlists, logic
 nodes are pinned to rail values for a given input state, and the
 remaining stack-internal nodes are solved by Newton iteration on the
-KCL residuals — vectorized across Monte-Carlo samples.
+KCL residuals — vectorized across samples, and across the states of a
+cell when :func:`solve_dc` is given a sequence of states.
 """
 
 from repro.spice.netlist import Transistor, CellNetlist, VDD, GND

@@ -7,7 +7,7 @@ netlist + solver machinery.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from repro.spice.solver import solve_dc
 
 def state_leakage(
     netlist: CellNetlist,
-    state: Mapping[str, int],
+    state: Union[Mapping[str, int], Sequence[Mapping[str, int]]],
     model: DeviceModel,
     length,
     vt_shifts: Optional[Mapping[str, np.ndarray]] = None,
@@ -27,7 +27,8 @@ def state_leakage(
     """Supply-to-ground leakage of ``netlist`` in logic state ``state``.
 
     Parameters mirror :func:`repro.spice.solver.solve_dc`; returns the
-    leakage current per sample, shape ``(S,)`` [A].
+    leakage current per sample [A], shape ``(S,)`` for one state and
+    ``(K, S)`` for a sequence of ``K`` states (solved in one call).
     """
     return solve_dc(netlist, state, model, length, vt_shifts,
                     include_gate_leakage=include_gate_leakage).leakage

@@ -105,6 +105,61 @@ class TestTracedSweep:
         assert untraced.stats == traced.stats
 
 
+def named_spans(spans, name, parent=None):
+    """``(parent name, span)`` for every span called ``name``."""
+    for node in spans:
+        if node["name"] == name:
+            yield parent, node
+        yield from named_spans(node.get("children", ()), name, node["name"])
+
+
+class TestTracedCharacterization:
+    """A cold service request traces its SPICE solves, one per cell,
+    under ``characterize`` — and tracing leaves the answer unchanged."""
+
+    CELLS = ("INV_X1", "NAND2_X1", "AOI21_X1")
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from repro.service import EstimateRequest, EstimationPipeline
+
+        def request(trace):
+            return EstimateRequest(
+                n_cells=900, width_mm=0.6, height_mm=0.6, cells=self.CELLS,
+                method="linear", trace=trace)
+
+        # Fresh pipelines: both requests characterize cold.
+        plain = EstimationPipeline()(request(False))
+        traced = EstimationPipeline()(request(True))
+        return plain, traced
+
+    def test_traced_is_bit_identical(self, runs):
+        plain, traced = runs
+        assert traced.mean == plain.mean
+        assert traced.std == plain.std
+        details = dict(traced.details)
+        details.pop("trace")
+        assert details == plain.details
+
+    def test_one_solve_per_cell_under_characterize(self, runs):
+        from repro.cells import build_library
+
+        library = build_library()
+        _, traced = runs
+        solves = list(named_spans(traced.details["trace"]["spans"],
+                                  "spice.solve"))
+        assert [parent for parent, _ in solves] == (
+            ["characterize"] * len(self.CELLS))
+        assert sorted(node["attrs"]["cell"] for _, node in solves) == sorted(
+            self.CELLS)
+        for _, node in solves:
+            attrs = node["attrs"]
+            assert attrs["states"] == len(library[attrs["cell"]].states)
+            assert attrs["fallbacks"] == 0
+            assert attrs["iterations"] >= 0
+        assert "spice.solve" in traced.details["trace"]["stages"]
+
+
 class TestWorkerPoolPropagation:
     """Spans cross the process pool and aggregate under the parent."""
 

@@ -18,6 +18,7 @@ import urllib.request
 import pytest
 
 from repro.service import ServiceClient, create_server
+from repro.service.pipeline import EstimationPipeline
 
 from .conftest import CELLS
 
@@ -34,7 +35,24 @@ SWEEP_BODY = {
 }
 
 
-def test_drain_mid_sweep_finishes_the_whole_grid():
+@pytest.fixture
+def held_sweeps(monkeypatch):
+    """Hold every pipeline sweep until the test releases it, so the
+    sweep is in flight while the server drains however fast the grid
+    itself computes."""
+    release = threading.Event()
+    original = EstimationPipeline.sweep
+
+    def held(self, *args, **kwargs):
+        release.wait(timeout=60.0)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(EstimationPipeline, "sweep", held)
+    yield release
+    release.set()
+
+
+def test_drain_mid_sweep_finishes_the_whole_grid(held_sweeps):
     client = ServiceClient(workers=1)
     server = create_server(client, port=0)
     serve_thread = threading.Thread(target=server.serve_forever,
@@ -91,6 +109,7 @@ def test_drain_mid_sweep_finishes_the_whole_grid():
     assert excinfo.value.code == 503
     assert json.loads(excinfo.value.read())["kind"] == "draining"
 
+    held_sweeps.set()
     sweep_thread.join(timeout=240.0)
     assert not sweep_thread.is_alive(), "sweep hung through drain"
     drain_thread.join(timeout=240.0)
@@ -108,7 +127,8 @@ def test_drain_mid_sweep_finishes_the_whole_grid():
             == [300, 500, 700, 900, 1100])
 
 
-def test_drain_with_short_grace_still_never_serves_partial_grids():
+def test_drain_with_short_grace_still_never_serves_partial_grids(
+        held_sweeps):
     """Even when the grace expires first, the caller sees the full grid
     (the job keeps running to completion) or a typed error -- never a
     truncated ``estimates`` list."""
@@ -151,12 +171,12 @@ def test_drain_with_short_grace_still_never_serves_partial_grids():
         time.sleep(0.01)
     assert server.inflight >= 1
 
-    # Grace likely shorter than the grid: await_idle may give up, the
-    # accept loop closes either way. Whether the drain was clean is
-    # timing-dependent (a warm grid can finish inside even this grace);
-    # the invariant is the response shape, asserted below.
+    # The held sweep outlasts the grace: await_idle gives up and the
+    # accept loop closes. The invariant is the response shape, asserted
+    # below.
     server.drain(grace=0.05)
 
+    held_sweeps.set()
     sweep_thread.join(timeout=240.0)
     assert not sweep_thread.is_alive(), "sweep hung through hard drain"
     serve_thread.join(timeout=10.0)

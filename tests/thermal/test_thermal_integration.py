@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.api import estimate_sweep
+from repro.characterization import characterize_library
+from repro.core.api import FullChipLeakageEstimator, estimate_sweep
 from repro.core.sweep import (
     ambient_temperature_axis,
     cell_count_axis,
@@ -104,6 +105,34 @@ class TestTracing:
                    for name in stages), sorted(stages)
         assert any(name.split("/")[-1].startswith("thermal.operator")
                    for name in stages), sorted(stages)
+
+    def test_bin_characterizations_trace_their_spice_solves(
+            self, library, technology, thermal_usage):
+        # The bin cache is per characterization: a fresh one starts cold.
+        characterization = characterize_library(
+            library, technology, cells=thermal_usage.names)
+        estimator = FullChipLeakageEstimator(
+            characterization, thermal_usage, 1024, 1e-3, 1e-3,
+            simplified_correlation=True)
+        traced = estimator.estimate(
+            "linear", thermal=ThermalConfig(package_resistance=40.0,
+                                            power_scale=400.0),
+            trace=True)
+        bins = []
+
+        def walk(spans):
+            for node in spans:
+                if node["name"] == "thermal.characterize":
+                    bins.append(node)
+                walk(node.get("children", ()))
+
+        walk(traced.details["trace"]["spans"])
+        assert bins
+        for node in bins:
+            solves = [child for child in node.get("children", ())
+                      if child["name"] == "spice.solve"]
+            assert [s["attrs"]["cell"] for s in solves] == list(
+                characterization.cell_names)
 
 
 class TestServiceTransport:
